@@ -24,7 +24,7 @@ run with::
         run_scenario(scenario)
 """
 
-from .diff import DiffEntry, DiffReport, diff_artifacts, load_artifact
+from .diff import ArtifactError, DiffEntry, DiffReport, diff_artifacts, load_artifact
 from .exporters import (
     MetricFamily,
     export_metrics,
@@ -66,6 +66,7 @@ from .window import (
 )
 
 __all__ = [
+    "ArtifactError",
     "AlertEvent",
     "BurnRateEvaluator",
     "CsvSink",

@@ -15,7 +15,8 @@ acceptance bar for a healthy trace is zero unparsed lines). ``diff``
 compares two artifacts — ``BENCH_*.json``, ``report --json`` output, or
 raw traces — and exits 1 when any directional metric regressed past
 ``--fail`` (default 25%); drift past ``--warn`` (default 10%) is
-annotated but passes.
+annotated but passes. A missing or unparseable artifact is a one-line
+error on stderr and exit code 3.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .diff import diff_artifacts
+from .diff import ArtifactError, diff_artifacts
+
+#: ``diff`` exit code for a missing or unparseable artifact (1 means a
+#: regression; argparse uses 2 for usage errors).
+ARTIFACT_ERROR_EXIT = 3
 from .report import render_report, summarize_paths
 
 
@@ -46,12 +51,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    report = diff_artifacts(
-        args.base,
-        args.other,
-        warn_threshold=args.warn,
-        fail_threshold=args.fail,
-    )
+    try:
+        report = diff_artifacts(
+            args.base,
+            args.other,
+            warn_threshold=args.warn,
+            fail_threshold=args.fail,
+        )
+    except ArtifactError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return ARTIFACT_ERROR_EXIT
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:

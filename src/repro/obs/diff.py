@@ -162,15 +162,24 @@ class DiffReport:
 # ---------------------------------------------------------------------------
 # Artifact loading
 # ---------------------------------------------------------------------------
+class ArtifactError(ValueError):
+    """An artifact that is missing, unreadable or not in a known format."""
+
+
 def load_artifact(path: PathLike) -> Tuple[str, Dict[str, Any]]:
     """Load one artifact; returns ``(kind, metrics)``.
 
     ``kind`` is ``"bench"`` or ``"report"``; ``metrics`` maps
     ``(name, metric)``-style nested dicts as consumed by
     :func:`diff_artifacts`. Raw trace JSONL is summarized into the report
-    shape, so traces and report JSONs diff interchangeably.
+    shape, so traces and report JSONs diff interchangeably. Raises
+    :class:`ArtifactError` when ``path`` cannot be read or parsed.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or str(error)
+        raise ArtifactError(f"{path}: cannot read artifact ({reason})") from error
     data: Optional[Any] = None
     try:
         data = json.loads(text)
@@ -183,7 +192,7 @@ def load_artifact(path: PathLike) -> Tuple[str, Dict[str, Any]]:
     # Fall back to trace JSONL (one JSON record per line).
     records, unparsed = parse_jsonl(text, str(path))
     if not records:
-        raise ValueError(
+        raise ArtifactError(
             f"{path}: neither bench JSON, report JSON nor parseable "
             f"trace JSONL ({unparsed} unparsed line(s))"
         )

@@ -4,13 +4,19 @@
 estimated latencies": inference requests are issued along the trace, each
 executed by a plan against the simulated clock; the table reports the mean
 reward, latency and accuracy per scene.
+
+:func:`serve_request` is the one request fault boundary of both serving
+front ends: ``run_emulation`` adds arrival times, queueing and pipelining
+around it, :class:`~repro.runtime.session.InferenceSession` its clock and
+predictive environment. Each passes its span, event and metric names as a
+:class:`RequestNames`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -56,6 +62,109 @@ class EmulationResult:
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+
+@dataclass(frozen=True)
+class RequestNames:
+    """Where one serving front end records its requests."""
+
+    span: str  # trace span around each request
+    fault_event: str  # trace event per absorbed fault
+    fault_counter: str  # registry counter of absorbed faults
+    latency: str  # windowed registry histogram of end-to-end latency
+
+
+_NAMES = RequestNames(
+    span="emulator.request",
+    fault_event="emulator.fault_absorbed",
+    fault_counter="emulator.faults_absorbed",
+    latency="emulator.request.latency_ms",
+)
+
+
+def device_only(env: RuntimeEnvironment) -> RuntimeEnvironment:
+    """``env`` as if a permanent cloud outage were active."""
+    return dataclasses.replace(env, cloud_outages=((0.0, float("inf")),))
+
+
+def record_fault(
+    fault: FaultError,
+    counts: Dict[str, int],
+    names: RequestNames,
+    index: int,
+    where: str,
+) -> str:
+    """Count an absorbed environmental fault and leave a trace event."""
+    name = type(fault).__name__
+    counts[name] = counts.get(name, 0) + 1
+    get_registry().count(names.fault_counter)
+    get_recorder().event(
+        names.fault_event,
+        fault=name,
+        where=where,
+        index=index,
+        t_sim_ms=float(getattr(fault, "t_ms", 0.0)),
+    )
+    return name
+
+
+def serve_request(
+    plan: InferencePlan,
+    start_ms: float,
+    env: RuntimeEnvironment,
+    rng: np.random.Generator,
+    names: RequestNames,
+    index: int,
+    fault_counts: Dict[str, int],
+    retry_env: RuntimeEnvironment,
+) -> InferenceOutcome:
+    """The serving fault boundary: run one request inside its trace span.
+
+    A typed environmental fault is counted, leaves a trace event, and the
+    request re-runs on ``device_only(retry_env)``, so one flaky window
+    cannot void a run. A fault on that retry, or anything outside the
+    ``FaultError`` hierarchy, propagates: bugs stay loud.
+    """
+    require_non_negative(start_ms, "start_ms")
+    with get_recorder().span(
+        names.span, index=index, start_sim_ms=start_ms
+    ) as obs_span:
+        try:
+            outcome = plan.execute(start_ms, env, rng)
+        except FaultError as fault:
+            name = record_fault(
+                fault, fault_counts, names, index, where="plan.execute"
+            )
+            obs_span.add(degraded_by_fault=name)
+            outcome = plan.execute(start_ms, device_only(retry_env), rng)
+        obs_span.add(
+            latency_ms=outcome.latency_ms,
+            fork_path=list(outcome.fork_choices),
+            offloaded=outcome.offloaded,
+            fell_back=outcome.fell_back,
+            retries=outcome.retries,
+            degraded=outcome.degraded,
+            reward=outcome.reward,
+        )
+    return outcome
+
+
+def observe_latency(
+    outcome: InferenceOutcome,
+    names: RequestNames,
+    evaluator: Optional[BurnRateEvaluator],
+) -> float:
+    """Record end-to-end latency at the simulated completion time.
+
+    The windowed histogram and the SLO burn-rate windows are keyed on the
+    completion time, so brownout spikes stay visible inside long runs.
+    Returns that completion time.
+    """
+    done_ms = outcome.start_ms + outcome.latency_ms
+    get_registry().observe_at(names.latency, outcome.latency_ms, t_ms=done_ms)
+    if evaluator is not None:
+        evaluator.observe(outcome.latency_ms, t_ms=done_ms)
+    return done_ms
 
 
 def run_emulation(
@@ -110,58 +219,21 @@ def run_emulation(
         arrival_times = list(np.linspace(0.0, duration_ms * 0.9, num_requests))
 
     perf = get_registry()
-    recorder = get_recorder()
     evaluator = BurnRateEvaluator(slo) if slo is not None else None
     device_free_ms = 0.0
-    degraded_env = None  # built lazily on the first absorbed fault
     for index, arrival in enumerate(arrival_times):
-        start_key = max(float(arrival), device_free_ms) if queued else float(arrival)
-        perf.count_at("emulator.requests", t_ms=start_key)
-        start = start_key
-        with perf.span("emulator.request"), recorder.span(
-            "emulator.request", index=index, start_sim_ms=start
-        ) as obs_span:
-            try:
-                outcome = plan.execute(start, env, rng)
-            except FaultError as fault:
-                # Absorb typed environmental faults only: count them,
-                # leave a trace event, and re-run this one request as if
-                # a permanent outage were active (device-only), so one
-                # flaky window cannot void a whole emulation table.
-                name = type(fault).__name__
-                result.swallowed_faults[name] = (
-                    result.swallowed_faults.get(name, 0) + 1
-                )
-                perf.count("emulator.faults_absorbed")
-                recorder.event(
-                    "emulator.fault_absorbed",
-                    fault=name,
-                    index=index,
-                    t_sim_ms=float(getattr(fault, "t_ms", 0.0)),
-                )
-                obs_span.add(degraded_by_fault=name)
-                if degraded_env is None:
-                    degraded_env = dataclasses.replace(
-                        env, cloud_outages=((0.0, float("inf")),)
-                    )
-                outcome = plan.execute(start, degraded_env, rng)
-            obs_span.add(
-                latency_ms=outcome.latency_ms,
-                fork_path=list(outcome.fork_choices),
-                offloaded=outcome.offloaded,
-                fell_back=outcome.fell_back,
-                retries=outcome.retries,
-                degraded=outcome.degraded,
-                reward=outcome.reward,
-            )
+        start = max(float(arrival), device_free_ms) if queued else float(arrival)
+        perf.count_at("emulator.requests", t_ms=start)
+        outcome = serve_request(
+            plan, start, env, rng, _NAMES, index, result.swallowed_faults, env
+        )
         if queued:
-            completion = start + outcome.latency_ms
             if pipelined:
                 # The device is busy only for the local portion; the
                 # transfer + cloud tail overlaps with the next request.
                 device_free_ms = start + outcome.edge_ms
             else:
-                device_free_ms = completion
+                device_free_ms = start + outcome.latency_ms
             queueing_delay = start - float(arrival)
             if queueing_delay > 0:
                 # dataclasses.replace keeps every other outcome field
@@ -175,15 +247,9 @@ def run_emulation(
                         outcome.accuracy, outcome.latency_ms + queueing_delay
                     ),
                 )
-        # End-to-end (post-queueing) simulated latency, so the exported
-        # percentiles match what the application would observe. The
-        # windowed slab is keyed on the simulated completion time.
-        done_ms = outcome.start_ms + outcome.latency_ms
-        perf.observe_at(
-            "emulator.request.latency_ms", outcome.latency_ms, t_ms=done_ms
-        )
-        if evaluator is not None:
-            evaluator.observe(outcome.latency_ms, t_ms=done_ms)
+        # End-to-end (post-queueing) latency, so the exported percentiles
+        # match what the application would observe.
+        observe_latency(outcome, _NAMES, evaluator)
         result.outcomes.append(outcome)
     if evaluator is not None:
         result.slo = evaluator.summary()

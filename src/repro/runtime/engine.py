@@ -19,7 +19,7 @@ effect the paper's introduction motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..mdp.reward import RewardConfig
 from ..model.spec import ModelSpec
 from ..network.channel import Channel, TransferAttempt
 from ..network.traces import BandwidthTrace
-from ..search.compose import match_fork
+from ..search.compose import walk_tree
 from ..search.composer import SpecComposer
 from ..search.tree import ModelTree, TreeNode
 from .resilience import CircuitBreaker, OffloadPolicy, resolve_offload
@@ -179,30 +179,39 @@ def admit_plan(plan: "InferencePlan", base: Optional[ModelSpec] = None) -> None:
         raise_on_error(verify_tree(plan.tree), context="tree plan")
 
 
-def _payload_bytes(
-    edge_spec: Optional[ModelSpec], cloud_spec: ModelSpec
-) -> float:
-    """Bytes crossing the link: the edge output, or the raw cloud input."""
-    if edge_spec is not None and len(edge_spec):
-        return edge_spec.output_shape.num_bytes
-    return cloud_spec.input_shape.num_bytes
-
-
-def _finish(
+def _offload_tail(
+    plan: "FixedPlan | TreePlan",
     start_ms: float,
     clock: float,
     env: RuntimeEnvironment,
+    rng: np.random.Generator,
     edge_spec: Optional[ModelSpec],
     cloud_spec: Optional[ModelSpec],
     edge_ms: float,
-    offload,
     forks: Tuple[int, ...] = (),
-    composer: Optional[SpecComposer] = None,
 ) -> InferenceOutcome:
-    """Compose the outcome both plan types report after their offload."""
-    composed = _concat(edge_spec, cloud_spec, composer)
+    """Offload ``cloud_spec`` (if any) and report the finished request."""
+    payload_bytes = 0.0
+    if cloud_spec is not None and len(cloud_spec):
+        # Bytes crossing the link: the edge output, or the raw cloud input.
+        if edge_spec is not None and len(edge_spec):
+            payload_bytes = edge_spec.output_shape.num_bytes
+        else:
+            payload_bytes = cloud_spec.input_shape.num_bytes
+    offload = resolve_offload(
+        env,
+        rng,
+        clock,
+        cloud_spec,
+        payload_bytes,
+        policy=plan.policy,
+        breaker=plan.breaker,
+    )
+    composed = plan.composer.concat([edge_spec, cloud_spec], name="composed")
+    if composed is None:
+        raise ValueError("plan has neither edge nor cloud model")
     accuracy = env.accuracy.evaluate(composed)
-    latency = clock - start_ms
+    latency = offload.clock_ms - start_ms
     return InferenceOutcome(
         start_ms=start_ms,
         latency_ms=latency,
@@ -246,26 +255,15 @@ class FixedPlan:
     ) -> InferenceOutcome:
         clock = require_non_negative(start_ms, "start_ms")
         edge_ms = env.edge_compute_ms(self.edge_spec, rng)
-        clock += edge_ms
-        wants_offload = self.cloud_spec is not None and len(self.cloud_spec) > 0
-        offload = resolve_offload(
+        return _offload_tail(
+            self,
+            start_ms,
+            clock + edge_ms,
             env,
             rng,
-            clock,
-            self.cloud_spec if wants_offload else None,
-            _payload_bytes(self.edge_spec, self.cloud_spec) if wants_offload else 0.0,
-            policy=self.policy,
-            breaker=self.breaker,
-        )
-        return _finish(
-            start_ms,
-            offload.clock_ms,
-            env,
             self.edge_spec,
             self.cloud_spec,
             edge_ms,
-            offload,
-            composer=self.composer,
         )
 
 
@@ -292,63 +290,29 @@ class TreePlan:
         self, start_ms: float, env: RuntimeEnvironment, rng: np.random.Generator
     ) -> InferenceOutcome:
         clock = require_non_negative(start_ms, "start_ms")
-        node = self.tree.root
-        edge_parts: List[ModelSpec] = []
-        edge_ms_total = 0.0
-        forks: List[int] = []
+        edge_ms = 0.0
 
-        while True:
-            if node.edge_spec is not None and len(node.edge_spec):
-                block_ms = env.edge_compute_ms(node.edge_spec, rng)
-                edge_ms_total += block_ms
-                clock += block_ms
-                edge_parts.append(node.edge_spec)
-            if node.partitioned or not node.children:
-                break
-            measured = env.probe_bandwidth(clock, rng)
-            fork = match_fork(measured, self.tree.bandwidth_types)
-            fork = min(fork, len(node.children) - 1)
-            forks.append(fork)
-            node = node.children[fork]
+        def run_block(node: TreeNode) -> None:
+            nonlocal clock, edge_ms
+            block_ms = env.edge_compute_ms(node.edge_spec, rng)
+            edge_ms += block_ms
+            clock += block_ms
 
-        edge_spec = self.composer.concat(edge_parts)
-        wants_offload = node.cloud_spec is not None and len(node.cloud_spec) > 0
-        offload = resolve_offload(
+        def measure(node: TreeNode) -> float:
+            # Per block: edge-compute noise first, then the probe.
+            run_block(node)
+            return env.probe_bandwidth(clock, rng)
+
+        path, forks, _ = walk_tree(self.tree, measure)
+        run_block(path[-1])
+        return _offload_tail(
+            self,
+            start_ms,
+            clock,
             env,
             rng,
-            clock,
-            node.cloud_spec if wants_offload else None,
-            _payload_bytes(edge_spec, node.cloud_spec) if wants_offload else 0.0,
-            policy=self.policy,
-            breaker=self.breaker,
+            self.composer.concat([node.edge_spec for node in path]),
+            path[-1].cloud_spec,
+            edge_ms,
+            tuple(forks),
         )
-        return _finish(
-            start_ms,
-            offload.clock_ms,
-            env,
-            edge_spec,
-            node.cloud_spec,
-            edge_ms_total,
-            offload,
-            forks=tuple(forks),
-            composer=self.composer,
-        )
-
-
-def _concat(
-    edge_spec: Optional[ModelSpec],
-    cloud_spec: Optional[ModelSpec],
-    composer: Optional[SpecComposer] = None,
-) -> ModelSpec:
-    if composer is not None:
-        composed = composer.concat([edge_spec, cloud_spec], name="composed")
-        if composed is None:
-            raise ValueError("plan has neither edge nor cloud model")
-        return composed
-    if edge_spec is not None and len(edge_spec) and cloud_spec is not None and len(cloud_spec):
-        return edge_spec.concatenate(cloud_spec, name="composed")
-    if edge_spec is not None and len(edge_spec):
-        return edge_spec
-    if cloud_spec is not None and len(cloud_spec):
-        return cloud_spec
-    raise ValueError("plan has neither edge nor cloud model")

@@ -358,6 +358,21 @@ def _call_traced(
         return fn(*args, **kwargs)
 
 
+def _failure(
+    kind: str, worker_id: int, task_id: str, attempt: int, exc: BaseException, start: float
+) -> Tuple[Any, ...]:
+    """A failed attempt's result message, with the current traceback."""
+    return (
+        kind,
+        worker_id,
+        task_id,
+        attempt,
+        f"{type(exc).__name__}: {exc}",
+        traceback.format_exc(),
+        time.perf_counter() - start,
+    )
+
+
 def _worker_main(
     worker_id: int,
     inbox: Any,
@@ -388,27 +403,24 @@ def _worker_main(
         try:
             value = _call_traced(fn, args, kwargs, trace_dir, task_id)
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-            results.put(
-                (
-                    "err",
-                    worker_id,
-                    task_id,
-                    attempt,
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                    time.perf_counter() - start,
-                )
-            )
+            results.put(_failure("err", worker_id, task_id, attempt, exc, start))
             continue
         if isinstance(event, ResultLoss):
             continue  # computed, never delivered: parent must recover
+        try:
+            # Pickle here, not in the queue's feeder thread: a failure
+            # there is silent, and the parent would wait out the timeout.
+            payload = pickle.dumps(value)
+        except Exception as exc:  # noqa: BLE001 - reported, not hidden
+            results.put(_failure("unpicklable", worker_id, task_id, attempt, exc, start))
+            continue
         results.put(
             (
                 "ok",
                 worker_id,
                 task_id,
                 attempt,
-                value,
+                payload,
                 get_registry().snapshot(),
                 time.perf_counter() - start,
             )
@@ -709,7 +721,8 @@ class FaultTolerantPool:
         if record is None or record.status in ("ok", "quarantined"):
             return  # stale: task already resolved by another attempt
         if kind == "ok":
-            _, _, _, _, value, snapshot, elapsed_s = message
+            _, _, _, _, payload, snapshot, elapsed_s = message
+            value = pickle.loads(payload)
             record.status = "ok"
             record.elapsed_s += elapsed_s
             results[task_id] = value
@@ -721,17 +734,19 @@ class FaultTolerantPool:
             if journal is not None:
                 journal.record_ok(task_id, value, record.attempts, elapsed_s)
         else:
+            # An unpicklable result fails the same way on every attempt.
             _, _, _, _, error, _tb, elapsed_s = message
             record.elapsed_s += elapsed_s
             report.task_errors += 1
             self._register_failure(
                 record,
-                f"error: {error}",
+                f"{'error' if kind == 'err' else 'unpicklable result'}: {error}",
                 records,
                 report,
                 journal,
                 pending,
                 eligible_at,
+                retryable=kind == "err",
             )
 
     def _fail_current(
@@ -757,10 +772,10 @@ class FaultTolerantPool:
         )
 
     def _register_failure(
-        self, record, reason, records, report, journal, pending, eligible_at
+        self, record, reason, records, report, journal, pending, eligible_at, retryable=True
     ) -> None:
         record.failures.append(reason)
-        if record.attempts > self.config.max_retries:
+        if not retryable or record.attempts > self.config.max_retries:
             record.status = "quarantined"
             if journal is not None:
                 journal.record_quarantined(

@@ -16,12 +16,10 @@ surgery baseline's regret is the cost of static planning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..search.tree import ModelTree
-from .emulator import EmulationResult
 from .engine import FixedPlan, InferencePlan, RuntimeEnvironment, TreePlan
 
 
@@ -56,14 +54,7 @@ def oracle_candidates(
     for name, plan in plans.items():
         if isinstance(plan, TreePlan):
             for b, path in enumerate(plan.tree.branches()):
-                edge = None
-                for node in path:
-                    if node.edge_spec is not None and len(node.edge_spec):
-                        edge = (
-                            node.edge_spec
-                            if edge is None
-                            else edge.concatenate(node.edge_spec)
-                        )
+                edge = plan.composer.concat([node.edge_spec for node in path])
                 candidates.append(
                     (f"{name}:branch{b}", FixedPlan(edge, path[-1].cloud_spec))
                 )

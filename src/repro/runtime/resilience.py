@@ -7,9 +7,8 @@ bounded retries with exponential backoff for transient loss, a per-request
 deadline so retries cannot starve the application, and a circuit breaker
 that stops hammering a cloud that is plainly down.
 
-:func:`resolve_offload` is the single offload/fallback path shared by
-``FixedPlan.execute`` and ``TreePlan.execute`` (they used to duplicate
-it). Without a policy it reproduces the naive one-shot semantics
+:func:`resolve_offload` is the single offload/fallback path of both plan
+types. Without a policy it reproduces the naive one-shot semantics
 byte-for-byte; with an :class:`OffloadPolicy` (and optionally a
 :class:`CircuitBreaker`) it executes the resilient state machine:
 

@@ -25,14 +25,27 @@ import numpy as np
 from ..contracts import require_non_negative
 from ..network.predictor import BandwidthPredictor
 from ..obs.slo import BurnRateEvaluator, SLOPolicy, SLOStatus, make_burn_rate_breaker
-from ..obs.trace import get_recorder
-from ..perf import HistogramStat, get_registry
+from ..perf import HistogramStat
 from ..search.tree import ModelTree
 from .adaptation import QuantileForkMatcher, adaptive_probe
-from .emulator import EmulationResult
+from .emulator import (
+    EmulationResult,
+    RequestNames,
+    observe_latency,
+    record_fault,
+    serve_request,
+)
 from .engine import InferenceOutcome, RuntimeEnvironment, TreePlan
 from .faults import FaultError
-from .resilience import CircuitBreaker, OffloadPolicy
+from .resilience import CircuitBreaker, CircuitBreakerConfig, OffloadPolicy
+
+
+_NAMES = RequestNames(
+    span="session.infer",
+    fault_event="session.fault_absorbed",
+    fault_counter="session.faults_absorbed",
+    latency="session.infer.latency_ms",
+)
 
 
 @dataclass
@@ -116,12 +129,15 @@ class InferenceSession:
         # so resolve_offload's degraded path also trips on latency burn.
         self.policy = policy
         if breaker is None and policy is not None:
-            if slo is not None and slo.degrade_on_alert:
-                breaker = make_burn_rate_breaker(self.slo_evaluator)
-            else:
-                breaker = CircuitBreaker()
+            breaker = self._new_breaker()
         self.breaker = breaker
         self._plan = TreePlan(tree, policy=self.policy, breaker=self.breaker)
+
+    def _new_breaker(self, config: Optional[CircuitBreakerConfig] = None) -> CircuitBreaker:
+        """A closed breaker, burn-rate aware under ``slo.degrade_on_alert``."""
+        if self.slo_policy is not None and self.slo_policy.degrade_on_alert:
+            return make_burn_rate_breaker(self.slo_evaluator, config)
+        return CircuitBreaker(config)
 
     def infer(self, at_ms: Optional[float] = None) -> InferenceOutcome:
         """Run one inference; returns its outcome and advances the clock.
@@ -136,63 +152,19 @@ class InferenceSession:
             env = self._predictive_env()
         else:
             env = self.env
-        with get_recorder().span(
-            "session.infer", index=len(self.outcomes), start_sim_ms=start
-        ) as obs_span:
-            try:
-                outcome = self._plan.execute(start, env, self.rng)
-            except FaultError as fault:
-                # The serving boundary: a typed environmental fault is
-                # recorded and the request degrades to device-only (the
-                # cloud is treated as out for this one execution). A
-                # fault on the degraded retry — or anything outside the
-                # FaultError hierarchy — propagates: bugs stay loud.
-                self._record_fault(fault, where="plan.execute")
-                obs_span.add(degraded_by_fault=type(fault).__name__)
-                outcome = self._plan.execute(
-                    start, self._device_only_env(), self.rng
-                )
-            obs_span.add(
-                latency_ms=outcome.latency_ms,
-                fork_path=list(outcome.fork_choices),
-                offloaded=outcome.offloaded,
-                fell_back=outcome.fell_back,
-                retries=outcome.retries,
-                degraded=outcome.degraded,
-            )
-        self.latency_hist.record(outcome.latency_ms)
-        done_ms = start + outcome.latency_ms
-        # Windowed alongside cumulative, keyed on the simulated completion
-        # time so brownout spikes stay visible inside long runs.
-        get_registry().observe_at(
-            "session.infer.latency_ms", outcome.latency_ms, t_ms=done_ms
+        index = len(self.outcomes)
+        outcome = serve_request(
+            self._plan, start, env, self.rng, _NAMES, index, self.fault_counts, self.env
         )
-        if self.slo_evaluator is not None:
-            self.slo_evaluator.observe(outcome.latency_ms, t_ms=done_ms)
-        self.clock_ms = done_ms
+        self.latency_hist.record(outcome.latency_ms)
+        self.clock_ms = observe_latency(outcome, _NAMES, self.slo_evaluator)
         self.outcomes.append(outcome)
         return outcome
 
     def _record_fault(self, fault: FaultError, where: str) -> None:
         """Count a swallowed environmental fault and leave a trace event."""
-        name = type(fault).__name__
-        self.fault_counts[name] = self.fault_counts.get(name, 0) + 1
-        get_recorder().event(
-            "session.fault_absorbed",
-            fault=name,
-            where=where,
-            t_sim_ms=float(getattr(fault, "t_ms", 0.0)),
-        )
-
-    def _device_only_env(self) -> RuntimeEnvironment:
-        """This session's environment with the cloud forced unavailable.
-
-        Used for the degraded retry after an absorbed fault: the request
-        runs as if a permanent outage were active, so resilient plans
-        take their fallback path instead of touching the faulty cloud.
-        """
-        return dataclasses.replace(
-            self.env, cloud_outages=((0.0, float("inf")),)
+        record_fault(
+            fault, self.fault_counts, _NAMES, len(self.outcomes), where
         )
 
     def _predictive_env(self) -> RuntimeEnvironment:
@@ -271,15 +243,5 @@ class InferenceSession:
         if self.slo_policy is not None:
             self.slo_evaluator = BurnRateEvaluator(self.slo_policy)
         if self.breaker is not None:
-            if (
-                self.slo_policy is not None
-                and self.slo_policy.degrade_on_alert
-            ):
-                self.breaker = make_burn_rate_breaker(
-                    self.slo_evaluator, self.breaker.config
-                )
-            else:
-                self.breaker = CircuitBreaker(self.breaker.config)
-            self._plan = TreePlan(
-                self.tree, policy=self.policy, breaker=self.breaker
-            )
+            self.breaker = self._new_breaker(self.breaker.config)
+            self._plan = TreePlan(self.tree, policy=self.policy, breaker=self.breaker)

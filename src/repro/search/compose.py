@@ -65,6 +65,29 @@ def match_fork(bandwidth_mbps: float, bandwidth_types: List[float]) -> int:
     return int(np.argmin(distances))
 
 
+def walk_tree(
+    tree: ModelTree, measure: Callable[[TreeNode], float]
+) -> Tuple[List[TreeNode], List[int], List[float]]:
+    """The one Alg. 2 walk: root to a partitioned or childless node.
+
+    At every other node ``measure(node)`` returns the measured Mbps, which
+    picks the fork (clamped to the node's children). Returns the visited
+    path, the fork taken at each step and the measurements.
+    """
+    node = tree.root
+    path: List[TreeNode] = [node]
+    forks: List[int] = []
+    measured: List[float] = []
+    while not node.partitioned and node.children:
+        bandwidth = measure(node)
+        fork = min(match_fork(bandwidth, tree.bandwidth_types), len(node.children) - 1)
+        node = node.children[fork]
+        path.append(node)
+        forks.append(fork)
+        measured.append(bandwidth)
+    return path, forks, measured
+
+
 def compose_from_tree(
     tree: ModelTree,
     probe: BandwidthProbe,
@@ -77,32 +100,11 @@ def compose_from_tree(
     case across a session's requests — reuse one composed spec.
     """
     get_registry().count("compose.walks")
-    node = tree.root
-    path: List[TreeNode] = [node]
-    measured: List[float] = []
-    edge_parts: List[ModelSpec] = []
-
-    while True:
-        if node.edge_spec is not None and len(node.edge_spec):
-            edge_parts.append(node.edge_spec)
-        if node.partitioned or not node.children:
-            if composer is not None:
-                edge_spec = composer.concat(edge_parts)
-            else:
-                edge_spec = None
-                for part in edge_parts:
-                    edge_spec = (
-                        part if edge_spec is None else edge_spec.concatenate(part)
-                    )
-            return ComposedModel(
-                path=tuple(path),
-                edge_spec=edge_spec,
-                cloud_spec=node.cloud_spec,
-                measured_bandwidths=tuple(measured),
-            )
-        bandwidth = probe(node.block_index + 1)
-        measured.append(bandwidth)
-        fork = match_fork(bandwidth, tree.bandwidth_types)
-        fork = min(fork, len(node.children) - 1)
-        node = node.children[fork]
-        path.append(node)
+    path, _, measured = walk_tree(tree, lambda node: probe(node.block_index + 1))
+    composer = composer if composer is not None else SpecComposer()
+    return ComposedModel(
+        path=tuple(path),
+        edge_spec=composer.concat([node.edge_spec for node in path]),
+        cloud_spec=path[-1].cloud_spec,
+        measured_bandwidths=tuple(measured),
+    )

@@ -727,6 +727,10 @@ def model_tree_search(
         final = best_sampled
         _, final_reward = final.best_branch()
 
+    # Tokens are training state, not deployment state: dropping them frees
+    # the autograd graph and keeps the returned tree picklable.
+    for node in final.root.iter_nodes():
+        node.tokens = []
     return TreeSearchResult(
         tree=final,
         best_reward=float(final_reward),

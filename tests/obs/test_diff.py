@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.__main__ import main as obs_main
+from repro.obs.__main__ import ARTIFACT_ERROR_EXIT, main as obs_main
 from repro.obs.diff import DiffEntry, diff_artifacts, load_artifact
 from repro.obs.trace import TraceRecorder
 
@@ -214,6 +214,20 @@ class TestDiffCLI:
         assert printed == written
         assert written["regressions"] == 2
         assert written["entries"][0]["name"] == "b"
+
+    @pytest.mark.parametrize("content", [None, "not json\n{", b"\xff\xfe\x00"])
+    def test_bad_artifact_is_one_line_error(self, tmp_path, capsys, content):
+        good = bench_json(tmp_path / "good.json", {"b": 1.0})
+        bad = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        elif content is not None:
+            bad.write_text(content)
+        for args in ([str(bad), str(good)], [str(good), str(bad)]):
+            assert obs_main(["diff", *args]) == ARTIFACT_ERROR_EXIT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bad) in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_custom_thresholds(self, tmp_path):
         base = bench_json(tmp_path / "base.json", {"b": 1.0})

@@ -61,6 +61,11 @@ def _count_in_perf(x):
     return x
 
 
+@worker_safe
+def _return_lambda(x):
+    return lambda: x
+
+
 def _tasks(n):
     return [PoolTask(f"t{i}", args=(i,)) for i in range(n)]
 
@@ -180,6 +185,19 @@ class TestChaosRecovery:
         assert outcome.values == [0, None, 2]
         with pytest.raises(RuntimeError, match="quarantined"):
             outcome.require_complete()
+
+    def test_unpicklable_result_fails_fast_without_retry(self):
+        # The worker pickles its own result: a lambda is reported at once
+        # as a non-retryable failure instead of dying in the queue feeder
+        # thread while the parent waits out the timeout on every attempt.
+        pool = FaultTolerantPool(_fast_config(task_timeout_s=30.0))
+        outcome = pool.run(_return_lambda, _tasks(2))
+        assert outcome.report.quarantined == ["t0", "t1"]
+        assert outcome.report.retries == 0
+        assert outcome.report.elapsed_s < 30.0
+        for record in outcome.report.tasks:
+            assert record.attempts == 1
+            assert record.failures[0].startswith("unpicklable result: ")
 
     def test_chaos_parallel_results_equal_serial(self):
         # The acceptance property: a chaos-injected parallel run returns
