@@ -2,13 +2,13 @@
 #
 # `test` matches the tier-1 invocation exactly, so it works from a clean
 # checkout with no `pip install -e .` (the sources live under src/).
-# `lint` = ruff + mypy + the custom repolint; ruff/mypy are skipped with a
-# notice when not installed (offline containers), repolint always runs.
+# `lint` = ruff + mypy + flowcheck; ruff/mypy are skipped with a notice
+# when not installed (offline containers), flowcheck always runs.
 
 PY ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: install test bench bench-json bench-pool bench-episode bench-diff bench-diff-report experiments examples chaos obs-report sweep-parallel lint typecheck repolint flowcheck flowcheck-bench clean
+.PHONY: install test bench bench-json bench-pool bench-episode bench-diff bench-diff-report experiments examples chaos obs-report sweep-parallel lint typecheck flowcheck clean
 
 # bench-diff thresholds: relative drift that annotates (warn) vs fails the
 # job. CI machines vary wildly in absolute speed, so the fail bar is
@@ -85,7 +85,7 @@ examples:
 	$(PYTHONPATH_SRC) $(PY) examples/resnet_dag_energy.py
 	$(PYTHONPATH_SRC) $(PY) examples/train_compress_distill.py
 
-lint: repolint
+lint: flowcheck
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/repro; \
 	else \
@@ -100,19 +100,11 @@ typecheck:
 		echo "typecheck: mypy not installed - skipping (pip install mypy)"; \
 	fi
 
-repolint:
-	$(PYTHONPATH_SRC) $(PY) -m repro.analysis.repolint src/repro
-
 # Full interprocedural gate over everything we ship: library source plus
 # the benchmark and example scripts. FLOWCHECK_REPORT writes the JSON
 # report (the CI artifact) alongside the human output.
 flowcheck:
 	$(PYTHONPATH_SRC) $(PY) -m repro.analysis --flow $(if $(FLOWCHECK_REPORT),--report $(FLOWCHECK_REPORT) ,)src/repro benchmarks examples
-
-# Cold-vs-warm incremental-cache self-benchmark (>=5x gate); the JSON
-# lands in BENCH_flowcheck.json for CI artifacts / regression tracking.
-flowcheck-bench:
-	$(PYTHONPATH_SRC) $(PY) -m pytest benchmarks/test_bench_flowcheck.py --benchmark-only --benchmark-json=BENCH_flowcheck.json
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,10 +9,13 @@ Two halves:
   executing anything. Wired into ``SearchContext`` (debug mode), the
   ``repro.search.serialize`` load paths (always) and runtime plan
   admission, plus ``python -m repro.analysis artifact.json``;
-- the **repo lint** (:mod:`repro.analysis.repolint`): a small AST linter
-  enforcing repository invariants (no module-level unseeded RNG calls, no
-  mutable default arguments, no bare ``except:``), run by ``make lint``
-  and as a pytest-collected check.
+- **flowcheck** (:mod:`repro.analysis.flowcheck`): a multi-pass static
+  analyzer over the repo's own source that guards the invariants the
+  paper's numbers rest on — seeded RNG discipline, unit-consistent latency
+  arithmetic (ms/s, bytes/bits, Mbps), worker safety for the parallel
+  pool, and exception-safe spans, sinks and circuit breakers. One
+  uncached pass: ``python -m repro.analysis --flow`` or ``make flowcheck``
+  (also part of ``make lint``).
 """
 
 from .artifact import detect_kind, verify_artifact

@@ -1,10 +1,10 @@
 """flowcheck — dataflow-based numeric-safety & RNG-discipline analyzer.
 
-The repo-code half of :mod:`repro.analysis`, grown out of the flat
-``repolint`` AST gate into a multi-pass engine: per-module symbol tables,
-an intraprocedural guard-tracking dataflow interpreter, a cross-module
-project index (function summaries, unit inference, call graph,
-worker-bound reachability), and rule plugins that emit the shared
+The repo-code half of :mod:`repro.analysis`: a multi-pass engine with
+per-module symbol tables, an intraprocedural guard-tracking dataflow
+interpreter, a cross-module project index (function summaries, unit
+inference, call graph, worker-bound reachability), and rule plugins that
+emit the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` type.
 
 Rule catalog (stable ids):
@@ -22,8 +22,11 @@ Rule catalog (stable ids):
                       unvalidated unit parameters
 ``print-call``        print() outside experiments//benchmarks//examples//
                       __main__/main()
-``mutable-default``   (legacy) mutable default argument
-``bare-except``       (legacy) bare ``except:``
+``monotonic-clock``   ``time.time()`` outside ``repro/perf`` and
+                      ``repro/obs``
+``mutable-default``   mutable default argument shared across calls
+``bare-except``       bare ``except:`` (swallows ``KeyboardInterrupt``)
+``syntax``            the file does not parse
 ``UNIT-MISMATCH``     arithmetic/comparison mixing incompatible units
                       (``_ms`` + ``_s``, percent vs fraction, missing 8x
                       between bytes and bits)
@@ -52,43 +55,23 @@ control-flow graphs with explicit exception edges (:mod:`.cfg`,
 :mod:`.typestate`).
 
 Suppress one finding inline with ``# flowcheck: ignore[rule-id] -- why``
-(several ids comma-separated, matched case-insensitively); accept a known
-finding in ``flowcheck-baseline.json``. Run the gate with
+(several ids comma-separated, matched case-insensitively); that pragma is
+the only suppression mechanism. Run the gate with
 ``python -m repro.analysis --flow src/repro benchmarks examples`` or
-``make flowcheck``; ``--format sarif`` emits SARIF 2.1.0 for scanning
-UIs, ``--prune-baseline`` drops stale baseline entries. Results are
-cached incrementally in ``.flowcheck_cache/`` (:mod:`.cache`) — an
-unchanged tree re-analyzes nothing; ``--no-cache`` forces a full run.
+``make flowcheck``; every run analyzes the whole file set from scratch.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    save_baseline,
-)
-from .cache import DEFAULT_CACHE_DIR
 from .core import Finding, make_finding
-from .engine import CheckResult, check_paths, check_source
+from .engine import CheckResult, check_paths, check_source, iter_python_files
 from .rules import all_rule_ids, rule_catalog
-from .sarif import to_sarif
 
 __all__ = [
-    "BaselineError",
     "CheckResult",
-    "DEFAULT_BASELINE",
-    "DEFAULT_CACHE_DIR",
     "Finding",
     "all_rule_ids",
-    "apply_baseline",
     "check_paths",
     "check_source",
-    "load_baseline",
+    "iter_python_files",
     "make_finding",
-    "prune_baseline",
     "rule_catalog",
-    "save_baseline",
-    "to_sarif",
 ]

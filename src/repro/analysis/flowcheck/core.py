@@ -5,14 +5,16 @@ Flowcheck is a multi-pass static analyzer over the ``src/repro`` package:
 - **pass 0** parses every file and records inline suppression pragmas;
 - **pass 1** builds a per-module symbol table (import aliases, module-level
   constants, a function index with enclosing-class qualnames);
-- **pass 2** runs the flat legacy rules inherited from ``repolint``;
+- **pass 2** runs the module rules, which walk one syntax tree each;
 - **pass 3** runs the dataflow rules function-by-function on top of the
-  guard-tracking interpreter in :mod:`repro.analysis.flowcheck.dataflow`.
+  guard-tracking interpreter in :mod:`repro.analysis.flowcheck.dataflow`;
+- later passes (see :mod:`repro.analysis.flowcheck.engine`) add the
+  typestate and interprocedural rules.
 
 Rules emit the repo's existing :class:`~repro.analysis.diagnostics.Diagnostic`
 type; :class:`Finding` wraps one with its structured path/line so the engine
-can apply suppressions, diff against a baseline and render JSON without
-re-parsing location strings.
+can apply suppressions and render JSON without re-parsing location
+strings.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class Finding:
     @property
     def severity(self) -> Severity:
         return self.diagnostic.severity
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity used for baseline matching.
-
-        Line numbers churn on unrelated edits; the rule id, file and message
-        (which names the offending symbol) are stable across reformats.
-        """
-        return f"{self.rule}::{self.path}::{self.diagnostic.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {

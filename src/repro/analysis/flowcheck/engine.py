@@ -8,13 +8,9 @@ graph, worker-bound reachability, fault-reaching closure), and only
 then do the per-module passes run — module rules (pass 2), the dataflow
 interpreter with every flow rule's hooks multiplexed (pass 3), the
 typestate rules over one exception-aware CFG per function (pass 3.5),
-and the project rules with the index in hand (pass 4). Suppressed
-findings are dropped at report time; the caller applies the baseline
-afterwards (see :mod:`.baseline`).
-
-:func:`check_paths` fronts all of that with the incremental cache
-(:mod:`.cache`): unchanged modules — by content hash *and* dependency
-fingerprint — reuse their stored findings without being re-parsed.
+and the project rules with the index in hand (pass 4). Findings on a
+line carrying a matching ``# flowcheck: ignore[...]`` pragma are counted
+as suppressed instead of reported.
 """
 
 from __future__ import annotations
@@ -22,10 +18,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..diagnostics import Severity
-from ..repolint import iter_python_files
 from .cfg import build_cfg
 from .core import Finding, ModuleInfo, make_finding
 from .dataflow import FlowHooks, FunctionFlow
@@ -38,19 +33,40 @@ PathLike = Union[str, Path]
 
 @dataclass
 class CheckResult:
-    """Outcome of one engine run (before baseline application)."""
+    """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: paths whose passes actually ran this time (everything on a cold
-    #: or cache-less run; only the dirty closure on a warm cached run).
-    reanalyzed: List[str] = field(default_factory=list)
 
     def sorted_findings(self) -> List[Finding]:
         return sorted(
             self.findings, key=lambda f: (f.path, f.line, f.rule)
         )
+
+
+def iter_python_files(paths: Iterable[PathLike]) -> List[Path]:
+    """Every ``.py`` file under ``paths`` (files or directories), once.
+
+    Overlapping targets (``src/repro src/repro/obs``) name a file once:
+    duplicates are dropped by resolved path, keeping the first spelling.
+    """
+    files: List[Path] = []
+    seen = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            candidates = sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            candidates = [path]
+        else:
+            continue
+        for file in candidates:
+            key = file.resolve()
+            if key not in seen:
+                seen.add(key)
+                files.append(file)
+    return files
 
 
 class _Reporter:
@@ -98,10 +114,29 @@ def _merge_hooks(hooks: List[FlowHooks]) -> FlowHooks:
 
 def check_source(source: str, path: str = "<string>") -> CheckResult:
     """Run every pass on one source string (a one-module project)."""
-    result = CheckResult(files_checked=1, reanalyzed=[path])
-    module = _parse_module(source, path, result)
-    if module is not None:
-        project = ProjectIndex([module])
+    return _check({path: source})
+
+
+def check_paths(paths: Iterable[PathLike]) -> CheckResult:
+    """Run the engine over every ``.py`` file under ``paths``.
+
+    All files are parsed up front so the project index sees the whole
+    set before any rule runs — cross-module call resolution is only as
+    complete as the path set handed in.
+    """
+    return _check(
+        {str(file): file.read_text() for file in iter_python_files(paths)}
+    )
+
+
+def _check(sources: Dict[str, str]) -> CheckResult:
+    result = CheckResult(files_checked=len(sources))
+    parsed = [
+        _parse_module(source, path, result) for path, source in sources.items()
+    ]
+    modules = [module for module in parsed if module is not None]
+    project = ProjectIndex(modules)
+    for module in modules:
         _run_module(module, project, result)
     result.findings = result.sorted_findings()
     return result
@@ -156,226 +191,3 @@ def _run_module(
                 rule.check(project, module, function, cfg, reporter)
     for rule in PROJECT_RULES:
         rule.check(project, module, reporter)
-
-
-def check_paths(
-    paths: Iterable[PathLike], cache_dir: Optional[PathLike] = None
-) -> CheckResult:
-    """Run the engine over every ``.py`` file under ``paths``.
-
-    All files are parsed up front so the project index sees the whole
-    set before any rule runs — cross-module call resolution is only as
-    complete as the path set handed in.
-
-    With ``cache_dir`` set, the incremental cache (:mod:`.cache`) is
-    consulted first: modules unchanged by content hash *and* dependency
-    fingerprint reuse their stored findings without being re-parsed;
-    only the dirty closure runs passes 2-4 (``CheckResult.reanalyzed``
-    lists exactly those). Without it, behavior is byte-identical to the
-    uncached engine.
-    """
-    files = [str(file) for file in iter_python_files(paths)]
-    sources = {file: Path(file).read_text() for file in files}
-    if cache_dir is None:
-        return _full_run(files, sources, None)
-
-    from . import cache as cache_mod
-
-    store = cache_mod.AnalysisCache(Path(cache_dir))
-    hashes = {
-        file: cache_mod.content_hash(source)
-        for file, source in sources.items()
-    }
-    stored = store.load()
-    plan = (
-        None if stored is None
-        else cache_mod.plan_incremental(stored, hashes)
-    )
-    if plan is None:
-        return _full_run(files, sources, (store, hashes))
-    return _warm_run(files, sources, stored, hashes, plan, store)
-
-
-def _parse_each(
-    files: List[str], sources: Dict[str, str]
-) -> Dict[str, Tuple[Optional[ModuleInfo], CheckResult]]:
-    """Pass 0+1 per file, findings captured per-module for the cache."""
-    per_file: Dict[str, Tuple[Optional[ModuleInfo], CheckResult]] = {}
-    for file in files:
-        sub = CheckResult(files_checked=1)
-        module = _parse_module(sources[file], file, sub)
-        per_file[file] = (module, sub)
-    return per_file
-
-
-def _import_edges(
-    module: ModuleInfo, dotted_map: Dict[str, str]
-) -> List[str]:
-    """The module's import edges as paths within the analyzed file set."""
-    from .cache import resolve_dotted_prefix
-
-    imports: set = set()
-    for fqname in module.imports.values():
-        dep = resolve_dotted_prefix(fqname, dotted_map)
-        if dep is not None and dep != module.path:
-            imports.add(dep)
-    return sorted(imports)
-
-
-def _build_entry(
-    module: Optional[ModuleInfo],
-    sub: "CheckResult",
-    digest: str,
-    project: ProjectIndex,
-    dotted_map: Dict[str, str],
-    worker_bound: Dict[str, str],
-) -> dict:
-    from .cache import module_entry
-
-    if module is None:  # unparseable: only the syntax finding to keep
-        return module_entry(digest, [], [
-            finding.to_json() for finding in sub.findings
-        ], sub.suppressed, [], {}, {})
-    summaries = project.summaries_for(module)
-    calls_fq = {s.fqname: sorted(s.calls) for s in summaries}
-    return module_entry(
-        digest,
-        _import_edges(module, dotted_map),
-        [finding.to_json() for finding in sub.findings],
-        sub.suppressed,
-        sorted(s.fqname for s in summaries if s.worker_safe),
-        calls_fq,
-        {
-            fq: root
-            for fq, root in worker_bound.items()
-            if fq in calls_fq
-        },
-    )
-
-
-def _assemble(
-    result: CheckResult, pieces: Iterable[CheckResult]
-) -> CheckResult:
-    for sub in pieces:
-        result.findings.extend(sub.findings)
-        result.suppressed += sub.suppressed
-    result.findings = result.sorted_findings()
-    return result
-
-
-def _full_run(files, sources, cache_state) -> CheckResult:
-    per_file = _parse_each(files, sources)
-    modules = [m for m, _ in per_file.values() if m is not None]
-    project = ProjectIndex(modules)
-    for module, sub in per_file.values():
-        if module is not None:
-            _run_module(module, project, sub)
-    result = _assemble(
-        CheckResult(files_checked=len(files), reanalyzed=sorted(files)),
-        (sub for _, sub in per_file.values()),
-    )
-    if cache_state is not None:
-        from .cache import dotted_of_path
-
-        store, hashes = cache_state
-        dotted_map = {dotted_of_path(file): file for file in files}
-        store.save(
-            {
-                file: _build_entry(
-                    module, sub, hashes[file], project, dotted_map,
-                    project.worker_bound,
-                )
-                for file, (module, sub) in per_file.items()
-            }
-        )
-    return result
-
-
-def _warm_run(files, sources, stored, hashes, plan, store) -> CheckResult:
-    from .cache import (
-        closure_with_imports,
-        dotted_of_path,
-        worker_bound_delta,
-    )
-    from .project import mark_worker_bound
-
-    per_file = _parse_each(sorted(plan.parse), sources)
-
-    # Merge the light call graph — fresh summaries for parsed modules,
-    # stored entries for clean ones — and recompute worker-bound
-    # globally; the partial index alone would miss caller chains that
-    # run through unparsed modules.
-    roots: List[str] = []
-    calls_fq: Dict[str, List[str]] = {}
-    fresh_index = ProjectIndex(
-        [m for m, _ in per_file.values() if m is not None]
-    )
-    for file in files:
-        pair = per_file.get(file)
-        if pair is not None and pair[0] is not None:
-            for summary in fresh_index.summaries_for(pair[0]):
-                calls_fq[summary.fqname] = sorted(summary.calls)
-                if summary.worker_safe:
-                    roots.append(summary.fqname)
-        else:
-            entry = stored[file]
-            calls_fq.update(entry.get("calls_fq", {}))
-            roots.extend(entry.get("roots", ()))
-    global_worker_bound = mark_worker_bound(roots, calls_fq, set(calls_fq))
-
-    # Clean modules whose worker-bound verdicts drifted join the dirty
-    # set (and get parsed, along with their imports, for context).
-    extra = worker_bound_delta(stored, global_worker_bound, plan.dirty)
-    if extra:
-        imports_of = {
-            path: set(entry.get("imports", ())) & set(files)
-            for path, entry in stored.items()
-        }
-        need = closure_with_imports(extra, imports_of) - set(per_file)
-        per_file.update(_parse_each(sorted(need), sources))
-        plan.dirty |= extra
-        project = ProjectIndex(
-            [m for m, _ in per_file.values() if m is not None]
-        )
-    else:
-        project = fresh_index
-    project.worker_bound = global_worker_bound
-    dotted_map = {dotted_of_path(file): file for file in files}
-    entries = dict(stored)
-    pieces: List[CheckResult] = []
-    for file in files:
-        if file in plan.dirty:
-            module, sub = per_file[file]
-            if module is not None:
-                _run_module(module, project, sub)
-            pieces.append(sub)
-            entries[file] = _build_entry(
-                module, sub, hashes[file], project, dotted_map,
-                global_worker_bound,
-            )
-        else:
-            entry = stored[file]
-            pieces.append(
-                CheckResult(
-                    findings=[
-                        _finding_from_json(raw) for raw in entry["findings"]
-                    ],
-                    suppressed=entry.get("suppressed", 0),
-                )
-            )
-    store.save(entries)
-    return _assemble(
-        CheckResult(files_checked=len(files), reanalyzed=sorted(plan.dirty)),
-        pieces,
-    )
-
-
-def _finding_from_json(raw: dict) -> Finding:
-    return make_finding(
-        raw["rule"],
-        raw["path"],
-        raw.get("line", 0),
-        raw["message"],
-        raw.get("hint"),
-        Severity(raw.get("severity", Severity.ERROR.value)),
-    )

@@ -98,34 +98,6 @@ def _is_fault_seed(fqname: str) -> bool:
     )
 
 
-def mark_worker_bound(
-    roots: Sequence[str],
-    calls: Dict[str, Sequence[str]],
-    known: Set[str],
-) -> Dict[str, str]:
-    """Worker-bound closure over an fq-level call graph, deterministically.
-
-    Shared by the live index and the incremental cache's warm-run replay
-    (:mod:`.cache` stores exactly ``roots``/``calls`` per module), so both
-    attribute the same root to a function reachable from several — the
-    root name appears in finding messages and must not flap between cold
-    and warm runs.
-    """
-    frontier: List[Tuple[str, str]] = [
-        (fqname, fqname) for fqname in sorted(roots)
-    ]
-    bound: Dict[str, str] = {}
-    while frontier:
-        fqname, root = frontier.pop()
-        if fqname in bound:
-            continue
-        bound[fqname] = root
-        for callee in sorted(calls.get(fqname, ())):
-            if callee in known and callee not in bound:
-                frontier.append((callee, root))
-    return bound
-
-
 @dataclass
 class Mutation:
     """One write to module-level state found inside a function body."""
@@ -473,11 +445,27 @@ class ProjectIndex:
                 break
 
     def _mark_worker_bound(self) -> None:
-        self.worker_bound = mark_worker_bound(
-            [s.fqname for s in self.functions.values() if s.worker_safe],
-            {fq: sorted(s.calls) for fq, s in self.functions.items()},
-            set(self.functions),
+        """Worker-bound closure over the call graph, deterministically.
+
+        A function reachable from several ``@worker_safe`` roots is
+        attributed to the same root on every run: roots and callees are
+        visited in sorted order, because the root name appears in finding
+        messages.
+        """
+        frontier: List[Tuple[str, str]] = sorted(
+            (s.fqname, s.fqname)
+            for s in self.functions.values()
+            if s.worker_safe
         )
+        self.worker_bound = {}
+        while frontier:
+            fqname, root = frontier.pop()
+            if fqname in self.worker_bound:
+                continue
+            self.worker_bound[fqname] = root
+            for callee in sorted(self.functions[fqname].calls):
+                if callee in self.functions and callee not in self.worker_bound:
+                    frontier.append((callee, root))
 
     def _close_fault_reaching(self) -> None:
         """Fixed point: f reaches faults if it is a seed or calls one."""

@@ -1,6 +1,6 @@
 """Flowcheck rule registry.
 
-Two plugin shapes:
+Four plugin shapes, one list each:
 
 - **flow rules** implement ``flow_hooks(module, function, report)`` and get
   driven by the dataflow interpreter once per function;
@@ -16,9 +16,9 @@ Two plugin shapes:
   machine (:mod:`repro.analysis.flowcheck.typestate`).
 
 ``report(rule_id, node_or_line, message, hint=..., severity=...)`` is
-provided by the engine and handles location bookkeeping, suppression and
-baseline matching. Every rule has a stable id — renaming one invalidates
-baselines and inline pragmas, so don't.
+provided by the engine and handles location bookkeeping and inline
+suppression. Every rule has a stable id — renaming one invalidates the
+``# flowcheck: ignore[...]`` pragmas that name it, so don't.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .clock import MonotonicClockRule
 from .concurrency import SharedMutableRule, WallClockSpanRule, WorkerRngRule
 from .contracts import BoundaryContractRule
 from .exceptions import BreakerProtocolRule, SwallowedFaultRule
-from .legacy import LegacyRepolintRule
+from .hygiene import HygieneRule
 from .numeric import DivGuardRule, FloatEqRule, MathDomainRule
 from .printcall import PrintCallRule
 from .resources import SinkFlushRule, SpanLeakRule
@@ -48,7 +48,7 @@ MODULE_RULES = [
     PrintCallRule(),
     MonotonicClockRule(),
     WallClockSpanRule(),
-    LegacyRepolintRule(),
+    HygieneRule(),
 ]
 
 #: Interprocedural rules driven with the cross-module project index.
@@ -69,7 +69,8 @@ CFG_RULES = [
 
 def rule_catalog() -> Dict[str, str]:
     """Stable rule id -> one-line summary, for ``--list-rules`` and docs."""
-    catalog: Dict[str, str] = {}
+    # ``syntax`` is emitted by the engine itself for a file it cannot parse.
+    catalog: Dict[str, str] = {"syntax": "file does not parse"}
     for rule in [*FLOW_RULES, *MODULE_RULES, *PROJECT_RULES, *CFG_RULES]:
         for rule_id, summary in rule.catalog().items():
             catalog[rule_id] = summary

@@ -8,8 +8,8 @@ output is reserved for the entry points that own a terminal:
 - top-level ``benchmarks/`` and ``examples/`` scripts, whose entire
   job is terminal output,
 - ``__main__.py`` CLI modules,
-- a function literally named ``main`` (the CLI convention in this repo,
-  e.g. ``repro.analysis.repolint.main``).
+- a function literally named ``main`` (the CLI entry-point convention
+  for scripts run as ``python path/to/script.py``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ from an explicitly seeded generator that the caller threads through
 ways code breaks that:
 
 - ``ambient-rng``: calling the process-global state — ``np.random.rand``,
-  ``random.random`` and friends — anywhere in ``src/repro`` (the old
-  repolint rule only caught module scope; flowcheck forbids it in function
-  bodies too);
+  ``random.random`` and friends — at any scope, module level and
+  function bodies alike;
 - ``unseeded-generator``: constructing ``default_rng()`` / ``Random()``
   with no seed, which silently pulls OS entropy and makes the run
   unrepeatable.

@@ -2,23 +2,10 @@
 
 import pytest
 
-import repro.analysis.__main__ as analysis_cli
 from repro.nn.zoo import vgg11
 from repro.search.serialize import tree_to_dict
 from repro.search.tree import TreeSearchConfig, model_tree_search
 from tests.conftest import make_context
-
-
-@pytest.fixture(autouse=True)
-def _isolated_flowcheck_cache(tmp_path, monkeypatch):
-    """Keep CLI-driven flowcheck runs from touching the repo's cache dir.
-
-    ``--flow`` defaults to ``.flowcheck_cache/`` in the CWD; tests invoke
-    ``main()`` against throwaway tmp files, which must neither pollute the
-    working tree nor clobber a developer's warm cache."""
-    monkeypatch.setattr(
-        analysis_cli, "DEFAULT_CACHE_DIR", str(tmp_path / "flowcheck_cache")
-    )
 
 
 @pytest.fixture(scope="session")

@@ -391,6 +391,9 @@ class TestMonotonicClock:
 
 
 class TestLegacyRules:
+    """mutable-default, bare-except and syntax (more snippets in
+    ``test_repolint.py``)."""
+
     def test_mutable_default_still_caught(self):
         src = """
             def f(items=[]):

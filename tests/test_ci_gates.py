@@ -45,3 +45,32 @@ def test_diffed_baseline_is_tracked(work_tree, baseline):
     assert _git("ls-files", "--error-unmatch", baseline).returncode == 0, (
         f"{baseline} is diffed by a gate but not tracked by git"
     )
+
+
+def _makefile_targets():
+    text = (ROOT / "Makefile").read_text()
+    return set(re.findall(r"^([A-Za-z0-9_.-]+):", text, flags=re.MULTILINE))
+
+
+def _ci_make_targets():
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    return sorted(set(re.findall(r"\bmake\s+([A-Za-z0-9_-]+)", text)))
+
+
+def test_ci_runs_make_at_all():
+    assert _ci_make_targets(), "no `make <target>` step found in CI"
+
+
+@pytest.mark.parametrize("target", _ci_make_targets())
+def test_ci_make_target_exists(target):
+    assert target in _makefile_targets(), (
+        f"CI runs `make {target}` but the Makefile has no such target"
+    )
+
+
+@pytest.mark.parametrize(
+    "script",
+    sorted(set(re.findall(r"benchmarks/[\w/]+\.py", (ROOT / "Makefile").read_text()))),
+)
+def test_makefile_benchmark_script_exists(script):
+    assert (ROOT / script).is_file(), f"the Makefile names missing {script}"
