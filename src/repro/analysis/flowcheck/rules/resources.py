@@ -1,8 +1,8 @@
 """Resource typestate rules over the exception-aware CFG.
 
-``SPAN-LEAK`` — a ``PerfRegistry.span(...)`` / ``TraceRecorder.span(...)``
-context, a read-mode ``open()``, or a
-crash-safe sink (``JsonlSink`` / ``CsvSink`` / the pool's
+``SPAN-LEAK`` — a ``PerfRegistry.span(...)`` context (the one span API:
+it times the registry span and the trace span together), a read-mode
+``open()``, or a crash-safe sink (``JsonlSink`` / the pool's
 ``ResultJournal``) bound to a local outside ``with`` must be released
 (``close()`` / ``__exit__()`` / handed to ``with``) on *every* CFG exit,
 including the unhandled-exception exit. Spans that stay open on a raise
@@ -15,7 +15,7 @@ closed on every path, and a sink-class handle (which flushes each record
 internally) must be *closed* on every path — an open journal handle in
 a dying worker races the parent's reopen-on-resume. Worker results that
 die buffered in a crashed process are exactly the failure the
-crash-safe JSONL/CSV sink idiom exists to prevent.
+crash-safe JSONL sink idiom exists to prevent.
 
 Both rules track only resources bound to simple local names; a resource
 that *escapes* — returned, passed to a call, aliased, captured by a
@@ -44,11 +44,10 @@ _FLUSH_METHODS = frozenset({"flush"})
 #: Attribute names that (re)dirty a writer.
 _WRITE_METHODS = frozenset({"write", "writelines", "writerow", "writerows"})
 
-#: Attribute calls opening a span-shaped context (``perf.span(...)``,
-#: ``recorder.span(...)``). ``recorder.trace(...)`` is deliberately NOT
-#: matched by attribute name: ``.trace(`` is a common accessor elsewhere
-#: (``scenario.trace()`` returns a bandwidth trace) and the false
-#: positives would drown the rule.
+#: Attribute calls opening a span context: ``PerfRegistry.span(...)`` is
+#: the only span API, so trace roots (``run_scenario``, ``run_chaos``)
+#: are matched like every other span. ``.trace(`` stays unmatched: it is
+#: a common accessor (``scenario.trace()`` returns a bandwidth trace).
 _SPAN_METHODS = frozenset({"span"})
 
 #: Constructors of the crash-safe sink classes. An instance holds the
@@ -58,7 +57,6 @@ _SPAN_METHODS = frozenset({"span"})
 _SINK_CLASSES = frozenset(
     {
         "repro.obs.sink.JsonlSink",
-        "repro.obs.sink.CsvSink",
         "repro.runtime.pool.ResultJournal",
     }
 )
@@ -69,10 +67,9 @@ def classify_acquisition(call: ast.Call, module: ModuleInfo) -> Optional[str]:
 
     ``open()`` covers the builtin and ``Path.open``; the mode is the
     second positional argument (first for the method form) or ``mode=``,
-    defaulting to read. Sink-class constructions (``JsonlSink``,
-    ``CsvSink``, the pool's ``ResultJournal``) resolve through the
-    import table, so aliased imports are still recognized. Unknown
-    calls return None.
+    defaulting to read. Sink-class constructions (``JsonlSink``, the
+    pool's ``ResultJournal``) resolve through the import table, so
+    aliased imports are still recognized. Unknown calls return None.
     """
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in _SPAN_METHODS:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.scenarios import Scenario, get_scenario
-from ..obs.trace import get_recorder
 from ..perf import get_registry
 from ..runtime.emulator import EmulationResult, run_emulation
 from ..runtime.engine import TreePlan
@@ -171,15 +170,14 @@ def run_chaos(
     """
     config = config or ExperimentConfig()
     scenario = scenario or get_scenario("vgg11", "phone", "4G indoor static")
-    recorder = get_recorder()
-    with get_registry().scoped(), recorder.trace(
+    with get_registry().scoped() as perf, perf.span(
         "run_chaos", scenario=str(scenario), seed=config.seed
     ):
         context = build_context(scenario)
         trace = scenario.trace(duration_s=config.trace_duration_s)
         types = trace.bandwidth_types(config.num_bandwidth_types)
 
-        with recorder.span("scenario.tree"):
+        with perf.span("scenario.tree"):
             tree_result = model_tree_search(
                 context,
                 types,
@@ -197,7 +195,7 @@ def run_chaos(
         schedule = schedule or default_fault_schedule(duration_ms)
         faulted = schedule.install(env)
 
-        with recorder.span("chaos.replay.naive"):
+        with perf.span("chaos.replay.naive"):
             naive_result = run_emulation(
                 TreePlan(tree),
                 faulted,
@@ -209,7 +207,7 @@ def run_chaos(
         resilient_plan = TreePlan(
             tree, policy=policy or default_offload_policy(), breaker=breaker
         )
-        with recorder.span("chaos.replay.resilient"):
+        with perf.span("chaos.replay.resilient"):
             resilient_result = run_emulation(
                 resilient_plan,
                 faulted,

@@ -140,7 +140,7 @@ def run_scenario(
     seeded from ``config.seed``.
     """
     config = config or ExperimentConfig()
-    with get_registry().scoped(), get_recorder().trace(
+    with get_registry().scoped() as perf, perf.span(
         "run_scenario",
         scenario=str(scenario),
         model=scenario.model_name,
@@ -176,8 +176,7 @@ def _run_scenario_scoped(
 
     # --- offline: the three methods -----------------------------------
     perf = get_registry()
-    recorder = get_recorder()
-    with perf.span("scenario.surgery"), recorder.span("scenario.surgery"):
+    with perf.span("scenario.surgery"):
         surgery_result = dynamic_dnn_surgery(context, median_bandwidth)
     surgery_plan = BranchPlan(
         surgery_result.partition_index,
@@ -196,9 +195,7 @@ def _run_scenario_scoped(
     # the best expected reward (the search space strictly contains every
     # pure partition, so the branch can never lose to surgery).
     branch_policy = RLPolicy(context.registry, seed=config.seed + 1)
-    with perf.span("scenario.branch"), recorder.span(
-        "scenario.branch", bandwidth_mbps=median_bandwidth
-    ):
+    with perf.span("scenario.branch", bandwidth_mbps=median_bandwidth):
         branch_result = optimal_branch_search(
             context,
             median_bandwidth,
@@ -217,7 +214,7 @@ def _run_scenario_scoped(
         plan=FixedPlan(branch_realized.edge_spec, branch_realized.cloud_spec),
     )
 
-    with perf.span("scenario.tree"), recorder.span("scenario.tree"):
+    with perf.span("scenario.tree"):
         tree_result = model_tree_search(
             context,
             types,
@@ -238,10 +235,10 @@ def _run_scenario_scoped(
     # --- online: emulation and field replays ---------------------------
     if run_emu or run_field:
         env = build_environment(scenario, context, trace)
-        with perf.span("scenario.replay"), recorder.span("scenario.replay"):
+        with perf.span("scenario.replay"):
             for method in (surgery, branch, tree):
                 if run_emu:
-                    with recorder.span("scenario.replay.emulation", method=method.name):
+                    with perf.span("scenario.replay.emulation", method=method.name):
                         method.emulation = run_emulation(
                             method.plan,
                             env,
@@ -251,7 +248,7 @@ def _run_scenario_scoped(
                         )
                 if run_field:
                     field_env = fieldify(env, FieldConditions())
-                    with recorder.span("scenario.replay.field", method=method.name):
+                    with perf.span("scenario.replay.field", method=method.name):
                         method.field = run_emulation(
                             method.plan,
                             field_env,
@@ -260,7 +257,7 @@ def _run_scenario_scoped(
                             slo=config.slo,
                         )
 
-    _record_cache_stats(context, recorder)
+    _record_cache_stats(context)
     return ScenarioOutcome(
         scenario=scenario,
         trace=trace,
@@ -272,12 +269,13 @@ def _run_scenario_scoped(
     )
 
 
-def _record_cache_stats(context: SearchContext, recorder) -> None:
+def _record_cache_stats(context: SearchContext) -> None:
     """Emit one ``memo.stats`` trace event per cache the scene exercised.
 
     Cumulative snapshots taken at scene end — ``repro obs report`` renders
     the last event per cache name as the scene's cache telemetry.
     """
+    recorder = get_recorder()
     if not recorder.enabled:
         return
     pools = {

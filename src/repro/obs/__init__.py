@@ -1,22 +1,24 @@
-"""Observability layer: structured traces, windowed metrics, SLOs, exporters.
+"""Observability layer: structured traces, windowed metrics, SLOs, reports.
 
-Layered on top of :mod:`repro.perf`: the :class:`TraceRecorder` captures a
-span tree (one trace per scenario run / inference session, child spans per
-search episode and emulator request) plus point events (controller
-updates, retries, breaker transitions, SLO alerts);
-:mod:`repro.obs.window` keeps sliding-window histograms/counters keyed on
+The layer :mod:`repro.perf` builds on (nothing here imports it): the
+:class:`TraceRecorder` keeps the ids, nesting and records of a span tree
+(one trace per scenario run / inference session, child spans per search
+phase, episode and request) plus point events (controller updates,
+retries, breaker transitions, SLO alerts); the spans themselves are
+opened and timed by :meth:`repro.perf.PerfRegistry.span`, so one clock
+read feeds both the registry and the trace. :mod:`repro.obs.window`
+keeps the latency histogram and its sliding-window rings keyed on
 *simulated* time; :mod:`repro.obs.slo` turns a latency objective into a
-multi-window burn-rate alert; :mod:`repro.obs.exporters` turns a
-:class:`~repro.perf.PerfRegistry` into JSON or Prometheus text; and
-``python -m repro.obs`` (also ``repro obs``) ships two subcommands —
-``report`` summarizes recorded traces (files or per-task directories)
-into phase timings, per-fork request counts, RL learning curves,
-windowed latency and a resilience timeline, and ``diff`` compares two
-runs' artifacts with regression verdicts.
+multi-window burn-rate alert; :mod:`repro.obs.sink` streams records to a
+crash-safe JSONL file; and ``python -m repro.obs`` (also ``repro obs``)
+ships two subcommands — ``report`` summarizes recorded traces (files or
+per-task directories) into phase timings, per-fork request counts, RL
+learning curves, windowed latency and a resilience timeline, and
+``diff`` compares two runs' artifacts with regression verdicts.
 
 Tracing is **off by default** — the process-wide recorder is disabled and
-instrumented hot paths pay a single attribute check. Enable it around a
-run with::
+instrumented hot paths pay a single attribute check for it. Enable it
+around a run with::
 
     from repro.obs import recording
 
@@ -25,13 +27,7 @@ run with::
 """
 
 from .diff import ArtifactError, DiffEntry, DiffReport, diff_artifacts, load_artifact
-from .exporters import (
-    MetricFamily,
-    export_metrics,
-    parse_prometheus_text,
-    prometheus_text,
-)
-from .sink import CsvSink, JsonlSink
+from .sink import JsonlSink
 from .report import (
     RLCurve,
     SpanAgg,
@@ -69,11 +65,9 @@ __all__ = [
     "ArtifactError",
     "AlertEvent",
     "BurnRateEvaluator",
-    "CsvSink",
     "DiffEntry",
     "DiffReport",
     "JsonlSink",
-    "MetricFamily",
     "RLCurve",
     "SLOPolicy",
     "SLOStatus",
@@ -85,7 +79,6 @@ __all__ = [
     "WindowedHistogram",
     "diff_artifacts",
     "expand_trace_paths",
-    "export_metrics",
     "get_recorder",
     "load_artifact",
     "load_trace",
@@ -93,8 +86,6 @@ __all__ = [
     "merge_window_sections",
     "merge_window_states",
     "parse_jsonl",
-    "parse_prometheus_text",
-    "prometheus_text",
     "recording",
     "render_report",
     "set_recorder",

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..perf import HistogramStat
-from .window import WindowedHistogram
+from .window import HistogramStat, WindowedHistogram
 
 PathLike = Union[str, Path]
 

@@ -10,14 +10,21 @@ episode / emulator request) and point **events** (controller updates,
 retries, breaker transitions) that attach to the innermost open span, so
 offline analysis can reconstruct exactly what happened to every request.
 
+The recorder does not time anything itself. Every span is opened by
+:meth:`repro.perf.PerfRegistry.span`, the one span API: the same two
+``time.perf_counter()`` reads that feed the registry's span timer give
+the record its ``t_ms`` and ``dur_ms``, so the registry and the trace
+agree span for span. The recorder keeps the ids, the open-span stack,
+point events, the records and the optional sink.
+
 Design constraints, in priority order:
 
 - **free when disabled** — the process-wide default recorder is disabled;
-  ``event()`` is one attribute check and ``span()`` returns a shared
-  inert handle, so instrumented hot loops pay nothing (the memo
-  benchmark's ≥2x gate runs with the default recorder in place);
-- **no imports from the rest of repro** — like :mod:`repro.perf`, any
-  layer may depend on this module without cycles;
+  ``event()`` is one attribute check and a span yields the shared inert
+  :data:`NULL_SPAN`, so instrumented hot loops pay nothing for tracing
+  (the memo benchmark's ≥2x gate runs with the default recorder in place);
+- **no imports from the rest of repro** — :mod:`repro.perf` builds on this
+  module, so it must not build on anything above it;
 - **deterministic ids** — span/trace ids are monotonically increasing
   counters, never random, so identical seeded runs produce identical
   traces (timestamps aside);
@@ -35,8 +42,9 @@ One JSONL line per record::
 
 Span records are emitted when the span *closes*, so children precede
 their parents in the file; readers rebuild the tree from ``parent``. A
-span whose body raised carries an ``"error"`` field (the exception type
-name) — exception paths are the interesting paths in a resilience run,
+span whose own body raised carries an ``"error"`` field (the exception
+type name; an exception merely being handled around the span does not
+count) — exception paths are the interesting paths in a resilience run,
 and a trace that cannot tell a clean request from a crashed one hides
 exactly what it exists to show.
 
@@ -49,11 +57,10 @@ run killed mid-flight still leaves every closed span on disk.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .sink import JsonlSink
 
@@ -107,7 +114,7 @@ class TraceSpan:
         self.fields.update(fields)
 
 
-class _NullSpan:
+class NullSpan:
     """Shared inert span handle returned while recording is disabled."""
 
     __slots__ = ()
@@ -116,27 +123,26 @@ class _NullSpan:
         return None
 
 
-_NULL_SPAN = _NullSpan()
+NULL_SPAN = NullSpan()
 
 
 class TraceRecorder:
-    """Records a span tree plus point events; exports JSONL.
+    """Span ids, the open-span stack and point events; exports JSONL.
 
-    A ``span()`` opened with no enclosing span starts a **new trace** (a
-    fresh trace id) — one trace per scenario run or inference session.
-    ``event()`` attaches to the innermost open span. The recorder is
-    single-threaded by design (the whole repo is); spans nest as a stack.
+    Spans are opened and closed by :meth:`repro.perf.PerfRegistry.span`,
+    which owns their timing; the recorder allocates ids, tracks nesting
+    and turns each closed span into one record. A span opened with no
+    enclosing span starts a **new trace** (a fresh trace id) — one trace
+    per scenario run or inference session. ``event()`` attaches to the
+    innermost open span. The recorder is single-threaded by design (the
+    whole repo is); spans nest as a stack.
     """
 
     def __init__(
-        self,
-        enabled: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-        sink: Optional[JsonlSink] = None,
+        self, enabled: bool = True, sink: Optional[JsonlSink] = None
     ) -> None:
         self.enabled = enabled
-        self._clock = clock
-        self._origin = clock()
+        self._origin = time.perf_counter()
         self.records: List[Dict[str, Any]] = []
         #: Optional streaming sink: every record is also written (and
         #: flushed) the moment it is produced — crash-safe tracing. Any
@@ -149,7 +155,7 @@ class TraceRecorder:
 
     # -- time & ids --------------------------------------------------------
     def _now_ms(self) -> float:
-        return (self._clock() - self._origin) * 1e3
+        return (time.perf_counter() - self._origin) * 1e3
 
     def _new_span_id(self) -> str:
         self._next_span += 1
@@ -160,14 +166,10 @@ class TraceRecorder:
         return f"t{self._next_trace}"
 
     # -- recording ---------------------------------------------------------
-    @contextmanager
-    def span(
-        self, name: str, **fields: Any
-    ) -> Iterator[Union[TraceSpan, _NullSpan]]:
-        """Time a region as one span; yields a handle for late fields."""
-        if not self.enabled:
-            yield _NULL_SPAN
-            return
+    def open_span(
+        self, name: str, start: float, fields: Dict[str, Any]
+    ) -> TraceSpan:
+        """Push a span that began at ``start`` (a ``perf_counter`` reading)."""
         if not self._stack:
             self._trace_id = self._new_trace_id()
         assert self._trace_id is not None
@@ -176,35 +178,33 @@ class TraceRecorder:
             span_id=self._new_span_id(),
             parent_id=self._stack[-1].span_id if self._stack else None,
             trace_id=self._trace_id,
-            start_ms=self._now_ms(),
-            fields=dict(fields),
+            start_ms=(start - self._origin) * 1e3,
+            fields=fields,
         )
         self._stack.append(handle)
-        try:
-            yield handle
-        finally:
-            self._stack.pop()
-            record = {
-                "kind": "span",
-                "name": handle.name,
-                "trace": handle.trace_id,
-                "span": handle.span_id,
-                "parent": handle.parent_id,
-                "t_ms": round(handle.start_ms, 4),
-                "dur_ms": round(self._now_ms() - handle.start_ms, 4),
-                "fields": {
-                    k: _jsonable(v) for k, v in handle.fields.items()
-                },
-            }
-            # A raising body marks its span: exception paths are the
-            # ones a resilience trace exists to explain.
-            exc_type = sys.exc_info()[0]
-            if exc_type is not None:
-                record["error"] = exc_type.__name__
-            self._emit(record)
+        return handle
 
-    #: Alias documenting intent at trace roots (``run_scenario``, sessions).
-    trace = span
+    def close_span(
+        self, handle: TraceSpan, dur_ms: float, error: Optional[str] = None
+    ) -> None:
+        """Pop ``handle`` and emit its record; ``error`` names the
+        exception type that left the span's body, if any."""
+        self._stack.pop()
+        record = {
+            "kind": "span",
+            "name": handle.name,
+            "trace": handle.trace_id,
+            "span": handle.span_id,
+            "parent": handle.parent_id,
+            "t_ms": round(handle.start_ms, 4),
+            "dur_ms": round(dur_ms, 4),
+            "fields": {k: _jsonable(v) for k, v in handle.fields.items()},
+        }
+        # A raising body marks its span: exception paths are the ones a
+        # resilience trace exists to explain.
+        if error is not None:
+            record["error"] = error
+        self._emit(record)
 
     def event(self, name: str, **fields: Any) -> None:
         """Record a point event attached to the innermost open span."""

@@ -7,9 +7,10 @@ invisible in the cumulative histogram, and the SLO burn-rate engine
 (:mod:`repro.obs.slo`) has nothing to react to. These classes keep the
 recent past queryable:
 
-- :class:`WindowedHistogram` — a ring of
-  :class:`~repro.perf.HistogramStat` slabs, one per fixed-width time
-  bucket. Any window ``[end - duration, end)`` is answered by merging
+- :class:`HistogramStat` — the fixed-bucket latency histogram behind
+  both the cumulative metric and every slab below;
+- :class:`WindowedHistogram` — a ring of :class:`HistogramStat` slabs,
+  one per fixed-width time bucket. Any window ``[end - duration, end)`` is answered by merging
   the covered slabs (the histogram mergeability contract), so current
   p50/p90/p99 come out of the same machinery as cumulative percentiles.
 - :class:`WindowedCounter` — the same ring over plain sums, for request
@@ -32,9 +33,180 @@ only on the data's own timestamps, so it too is deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..perf import DEFAULT_BUCKET_BOUNDS, HistogramStat
+
+def _log_spaced_bounds(
+    start_ms: float = 0.01, factor: float = 2.0, count: int = 26
+) -> Tuple[float, ...]:
+    """Fixed log-spaced bucket upper bounds: 0.01 ms up to ~335 s."""
+    return tuple(start_ms * factor**i for i in range(count))
+
+
+#: Shared bucket layout so histograms from different runs line up.
+DEFAULT_BUCKET_BOUNDS = _log_spaced_bounds()
+
+
+class HistogramStat:
+    """Fixed-bucket latency histogram with approximate percentiles.
+
+    Buckets are log-spaced upper bounds (shared across the process via
+    :data:`DEFAULT_BUCKET_BOUNDS`, so snapshots from different scenarios
+    merge bucket-by-bucket); values above the last bound land in the
+    overflow bucket. Sum/count/min/max are exact; percentiles are linearly
+    interpolated inside the bucket the rank falls in — the error is
+    bounded by the bucket width, which the ROADMAP's percentile tracking
+    tolerates and a reservoir would not beat without unbounded memory.
+    """
+
+    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
+
+    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS) -> None:
+        if not bounds or any(
+            b2 <= b1 for b1, b2 in zip(bounds, list(bounds)[1:])
+        ):
+            raise ValueError("bounds must be a strictly increasing sequence")
+        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        self.counts: List[int] = [0] * (len(self.bounds) + 1)  # +overflow
+        self.count = 0
+        self.sum = 0.0
+        self.min = 0.0
+        self.max = 0.0
+
+    def record(self, value: float) -> None:
+        value = float(value)
+        self.counts[bisect_left(self.bounds, value)] += 1
+        if self.count == 0 or value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        self.count += 1
+        self.sum += value
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Approximate ``q``-quantile (0 <= q <= 1) of recorded values."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q!r}")
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        cumulative = 0
+        for i, bucket_count in enumerate(self.counts):
+            if bucket_count == 0:
+                continue
+            if cumulative + bucket_count >= rank:
+                lo = self.bounds[i - 1] if i > 0 else 0.0
+                hi = self.bounds[i] if i < len(self.bounds) else self.max
+                lo = max(lo, self.min)
+                hi = min(hi, self.max)
+                if hi <= lo:
+                    return lo
+                fraction = (rank - cumulative) / bucket_count
+                return lo + (hi - lo) * fraction
+            cumulative += bucket_count
+        return self.max
+
+    @property
+    def p50(self) -> float:
+        return self.quantile(0.50)
+
+    @property
+    def p90(self) -> float:
+        return self.quantile(0.90)
+
+    @property
+    def p95(self) -> float:
+        return self.quantile(0.95)
+
+    @property
+    def p99(self) -> float:
+        return self.quantile(0.99)
+
+    def merge(self, other: "HistogramStat") -> "HistogramStat":
+        """Fold ``other`` into this histogram, bucket by bucket.
+
+        This is the documented mergeability contract: because bucket
+        bounds are shared (:data:`DEFAULT_BUCKET_BOUNDS`), per-scenario /
+        per-worker snapshots merge exactly — counts and sum add, min/max
+        recompute — and the merged percentile bounds equal those of one
+        histogram that recorded every value itself.
+        """
+        if self.bounds != other.bounds:
+            raise ValueError(
+                "cannot merge histograms with different bucket bounds"
+            )
+        if other.count == 0:
+            return self
+        if self.count == 0 or other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        self.count += other.count
+        self.sum += other.sum
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        return self
+
+    def state_dict(self) -> Dict[str, object]:
+        """Exact serializable state (per-bucket counts, not percentiles)."""
+        return {
+            "counts": list(self.counts),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+        }
+
+    @classmethod
+    def from_state(
+        cls,
+        state: Dict[str, object],
+        bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
+    ) -> "HistogramStat":
+        """Rebuild a histogram from :meth:`state_dict` output."""
+        hist = cls(bounds)
+        counts = list(state["counts"])  # type: ignore[arg-type]
+        if len(counts) != len(hist.counts):
+            raise ValueError(
+                f"state has {len(counts)} buckets, bounds imply "
+                f"{len(hist.counts)}"
+            )
+        hist.counts = [int(c) for c in counts]
+        hist.count = int(state["count"])  # type: ignore[arg-type]
+        hist.sum = float(state["sum"])  # type: ignore[arg-type]
+        hist.min = float(state["min"])  # type: ignore[arg-type]
+        hist.max = float(state["max"])  # type: ignore[arg-type]
+        return hist
+
+    def bucket_counts(self) -> List[Tuple[float, int]]:
+        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style.
+
+        The final pair uses ``inf`` and equals the total count.
+        """
+        pairs: List[Tuple[float, int]] = []
+        cumulative = 0
+        for bound, bucket_count in zip(self.bounds, self.counts):
+            cumulative += bucket_count
+            pairs.append((bound, cumulative))
+        pairs.append((float("inf"), self.count))
+        return pairs
+
+    def to_dict(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "mean": self.mean,
+            "min": self.min,
+            "max": self.max,
+            "p50": self.p50,
+            "p90": self.p90,
+            "p99": self.p99,
+        }
+
 
 #: Default bucket width of the simulated-time ring (1 simulated second).
 DEFAULT_BUCKET_MS = 1_000.0

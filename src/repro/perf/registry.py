@@ -1,30 +1,42 @@
-"""Lightweight span timers and counters for the search hot path.
+"""The one instrumentation API: span timers, counters and histograms.
 
-The ROADMAP's "fast as the hardware allows" goal needs numbers before it
-needs optimizations: a :class:`PerfRegistry` accumulates named counters and
-span timings (count / total / max / mean milliseconds) with dictionary-write
-overhead, so it can stay enabled inside loops that run thousands of times
-per search episode. A process-wide default registry is wired into
-:meth:`repro.search.context.SearchContext.evaluate`,
-:meth:`repro.latency.compute.LatencyEstimator.estimate_composed`, the tree
-search's forward-generation/backward-estimation episodes and the emulator
-request loop; ``snapshot()`` / ``dump()`` export everything as JSON (the
-``make bench-json`` target persists it next to the pytest-benchmark
-results).
+A :class:`PerfRegistry` accumulates named counters, span timings (count /
+total / max / mean milliseconds) and latency histograms with
+dictionary-write overhead, so it can stay enabled inside loops that run
+thousands of times per search episode. :meth:`PerfRegistry.span` is the
+only span API in :mod:`repro`: it reads ``time.perf_counter()`` once on
+entry and once on exit and feeds that one duration to the span's
+:class:`SpanStat` and, while the process
+:class:`~repro.obs.trace.TraceRecorder` is enabled, to one trace span
+record. The registry and the trace therefore see the same spans with the
+same durations.
 
-This module deliberately imports nothing from the rest of :mod:`repro`, so
-any layer may depend on it without cycles.
+The process-wide default registry times the scenario phases
+(``run_scenario``, ``scenario.*``, ``chaos.replay.*``), the search
+episodes (``branch.episode``, ``tree.episode`` and its ``forward`` /
+``backward`` / ``graft`` phases), reward evaluation (``search.evaluate``),
+the latency model (``latency.estimate_composed``) and every served request
+(``emulator.request`` / ``session.infer``). ``snapshot()`` / ``dump()``
+export everything as JSON (the ``make bench-json`` target persists it next
+to the pytest-benchmark results).
+
+Layering: this module builds on :mod:`repro.obs` (the trace recorder, the
+histogram and the simulated-time windows) and on nothing else in
+:mod:`repro`. :mod:`repro.obs` imports nothing from :mod:`repro.perf`, so
+any layer may depend on both without cycles.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Union
+
+from ..obs.trace import NULL_SPAN, NullSpan, TraceSpan, get_recorder
+from ..obs.window import HistogramStat, WindowedCounter, WindowedHistogram
 
 PathLike = Union[str, Path]
 
@@ -58,183 +70,12 @@ class SpanStat:
         }
 
 
-def _log_spaced_bounds(
-    start_ms: float = 0.01, factor: float = 2.0, count: int = 26
-) -> Tuple[float, ...]:
-    """Fixed log-spaced bucket upper bounds: 0.01 ms up to ~335 s."""
-    return tuple(start_ms * factor**i for i in range(count))
-
-
-#: Shared bucket layout so histograms from different runs line up.
-DEFAULT_BUCKET_BOUNDS = _log_spaced_bounds()
-
-
-class HistogramStat:
-    """Fixed-bucket latency histogram with approximate percentiles.
-
-    Buckets are log-spaced upper bounds (shared across the process via
-    :data:`DEFAULT_BUCKET_BOUNDS`, so snapshots from different scenarios
-    merge bucket-by-bucket); values above the last bound land in the
-    overflow bucket. Sum/count/min/max are exact; percentiles are linearly
-    interpolated inside the bucket the rank falls in — the error is
-    bounded by the bucket width, which the ROADMAP's percentile tracking
-    tolerates and a reservoir would not beat without unbounded memory.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS) -> None:
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, list(bounds)[1:])
-        ):
-            raise ValueError("bounds must be a strictly increasing sequence")
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)  # +overflow
-        self.count = 0
-        self.sum = 0.0
-        self.min = 0.0
-        self.max = 0.0
-
-    def record(self, value: float) -> None:
-        value = float(value)
-        self.counts[bisect_left(self.bounds, value)] += 1
-        if self.count == 0 or value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.count += 1
-        self.sum += value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (0 <= q <= 1) of recorded values."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for i, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lo = self.bounds[i - 1] if i > 0 else 0.0
-                hi = self.bounds[i] if i < len(self.bounds) else self.max
-                lo = max(lo, self.min)
-                hi = min(hi, self.max)
-                if hi <= lo:
-                    return lo
-                fraction = (rank - cumulative) / bucket_count
-                return lo + (hi - lo) * fraction
-            cumulative += bucket_count
-        return self.max
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p90(self) -> float:
-        return self.quantile(0.90)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    def merge(self, other: "HistogramStat") -> "HistogramStat":
-        """Fold ``other`` into this histogram, bucket by bucket.
-
-        This is the documented mergeability contract: because bucket
-        bounds are shared (:data:`DEFAULT_BUCKET_BOUNDS`), per-scenario /
-        per-worker snapshots merge exactly — counts and sum add, min/max
-        recompute — and the merged percentile bounds equal those of one
-        histogram that recorded every value itself.
-        """
-        if self.bounds != other.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        if other.count == 0:
-            return self
-        if self.count == 0 or other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.count += other.count
-        self.sum += other.sum
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        return self
-
-    def state_dict(self) -> Dict[str, object]:
-        """Exact serializable state (per-bucket counts, not percentiles)."""
-        return {
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, object],
-        bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
-    ) -> "HistogramStat":
-        """Rebuild a histogram from :meth:`state_dict` output."""
-        hist = cls(bounds)
-        counts = list(state["counts"])  # type: ignore[arg-type]
-        if len(counts) != len(hist.counts):
-            raise ValueError(
-                f"state has {len(counts)} buckets, bounds imply "
-                f"{len(hist.counts)}"
-            )
-        hist.counts = [int(c) for c in counts]
-        hist.count = int(state["count"])  # type: ignore[arg-type]
-        hist.sum = float(state["sum"])  # type: ignore[arg-type]
-        hist.min = float(state["min"])  # type: ignore[arg-type]
-        hist.max = float(state["max"])  # type: ignore[arg-type]
-        return hist
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style.
-
-        The final pair uses ``inf`` and equals the total count.
-        """
-        pairs: List[Tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            pairs.append((bound, cumulative))
-        pairs.append((float("inf"), self.count))
-        return pairs
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
-
-
 class PerfRegistry:
     """Named counters plus span timers, dumpable as JSON.
 
-    ``enabled=False`` turns :meth:`span` into a no-op context manager and
-    :meth:`count` into a cheap early return, so instrumented code never
-    needs its own gating.
+    ``enabled=False`` makes :meth:`count` a cheap early return and keeps
+    :meth:`span` out of the registry (it still feeds an enabled process
+    recorder), so instrumented code never needs its own gating.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -243,12 +84,9 @@ class PerfRegistry:
         self._spans: Dict[str, SpanStat] = {}
         self._histograms: Dict[str, HistogramStat] = {}
         # Windowed companions, keyed on *simulated* time (never wall
-        # clock). Values are repro.obs.window ring classes, imported
-        # lazily in observe_at/count_at — the one deliberate exception
-        # to this module's no-repro-imports rule, deferred to call time
-        # so the layering (perf below obs) still holds at import time.
-        self._windows: Dict[str, object] = {}
-        self._window_counters: Dict[str, object] = {}
+        # clock).
+        self._windows: Dict[str, WindowedHistogram] = {}
+        self._window_counters: Dict[str, WindowedCounter] = {}
 
     # -- counters ---------------------------------------------------------
     def count(self, name: str, by: int = 1) -> None:
@@ -272,16 +110,34 @@ class PerfRegistry:
         stat.record(elapsed_ms)
 
     @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time the enclosed block and fold it into span ``name``."""
-        if not self.enabled:
-            yield
+    def span(
+        self, name: str, **fields: Any
+    ) -> Iterator[Union[TraceSpan, NullSpan]]:
+        """Time the enclosed block once; fold it into span ``name`` and,
+        while the process recorder is enabled, into one trace span record.
+
+        Yields the trace handle (``.add()`` attaches late fields) or the
+        shared inert handle. The trace record carries an ``"error"`` field
+        only when an exception leaves this span's own body.
+        """
+        recorder = get_recorder()
+        tracing = recorder.enabled
+        if not (self.enabled or tracing):
+            yield NULL_SPAN
             return
         start = time.perf_counter()
+        handle = recorder.open_span(name, start, fields) if tracing else None
+        error = None
         try:
-            yield
+            yield NULL_SPAN if handle is None else handle
+        except BaseException as exc:
+            error = type(exc).__name__
+            raise
         finally:
-            self.record_span(name, (time.perf_counter() - start) * 1e3)
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            self.record_span(name, elapsed_ms)
+            if handle is not None:
+                recorder.close_span(handle, elapsed_ms, error)
 
     def span_stat(self, name: str) -> SpanStat:
         """Accumulated stats of span ``name`` (zeros if never recorded)."""
@@ -316,10 +172,8 @@ class PerfRegistry:
             return
         window = self._windows.get(name)
         if window is None:
-            from ..obs.window import WindowedHistogram
-
             window = self._windows[name] = WindowedHistogram()
-        window.record(value, t_ms=t_ms)  # type: ignore[attr-defined]
+        window.record(value, t_ms=t_ms)
 
     def count_at(self, name: str, by: int = 1, *, t_ms: float) -> None:
         """Increment counter ``name`` cumulatively *and* in its
@@ -329,10 +183,8 @@ class PerfRegistry:
             return
         counter = self._window_counters.get(name)
         if counter is None:
-            from ..obs.window import WindowedCounter
-
             counter = self._window_counters[name] = WindowedCounter()
-        counter.add(by, t_ms=t_ms)  # type: ignore[attr-defined]
+        counter.add(by, t_ms=t_ms)
 
     def window(self, name: str):
         """The :class:`~repro.obs.window.WindowedHistogram` for ``name``
@@ -349,9 +201,9 @@ class PerfRegistry:
         """Everything recorded so far, as plain JSON-serializable dicts."""
         windows: Dict[str, object] = {}
         for name, window in sorted(self._windows.items()):
-            windows[name] = window.state()  # type: ignore[attr-defined]
+            windows[name] = window.state()
         for name, counter in sorted(self._window_counters.items()):
-            windows[name] = counter.state()  # type: ignore[attr-defined]
+            windows[name] = counter.state()
         return {
             "counters": dict(sorted(self._counters.items())),
             "spans": {

@@ -68,7 +68,7 @@ class EmulationResult:
 class RequestNames:
     """Where one serving front end records its requests."""
 
-    span: str  # trace span around each request
+    span: str  # registry and trace span around each request
     fault_event: str  # trace event per absorbed fault
     fault_counter: str  # registry counter of absorbed faults
     latency: str  # windowed registry histogram of end-to-end latency
@@ -118,7 +118,7 @@ def serve_request(
     fault_counts: Dict[str, int],
     retry_env: RuntimeEnvironment,
 ) -> InferenceOutcome:
-    """The serving fault boundary: run one request inside its trace span.
+    """The serving fault boundary: run one request inside its span.
 
     A typed environmental fault is counted, leaves a trace event, and the
     request re-runs on ``device_only(retry_env)``, so one flaky window
@@ -126,7 +126,7 @@ def serve_request(
     ``FaultError`` hierarchy, propagates: bugs stay loud.
     """
     require_non_negative(start_ms, "start_ms")
-    with get_recorder().span(
+    with get_registry().span(
         names.span, index=index, start_sim_ms=start_ms
     ) as obs_span:
         try:

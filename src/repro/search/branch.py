@@ -19,7 +19,6 @@ import numpy as np
 
 from ..contracts import require_positive
 from ..model.spec import ModelSpec
-from ..obs.trace import get_recorder
 from ..rl.controller import NO_PARTITION
 from .context import CandidateResult, SearchContext
 from .plan import apply_compression_plan
@@ -103,10 +102,9 @@ def optimal_branch_search(
             best = candidate
             best_plan = plan
 
-    recorder = get_recorder()
     for episode in range(episodes):
         context.perf.count("branch.episodes")
-        with context.perf.span("branch.episode"), recorder.span(
+        with context.perf.span(
             "branch.episode", episode=episode, bandwidth_mbps=bandwidth_mbps
         ) as obs_span:
             cut, partition_token = policy.sample_partition(base, bandwidth_mbps, rng)

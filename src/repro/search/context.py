@@ -34,7 +34,7 @@ from ..contracts import require_positive
 from ..latency.compute import LatencyBreakdown, LatencyEstimator
 from ..mdp.reward import RewardConfig
 from ..model.spec import ModelSpec
-from ..perf import DEFAULT_MAXSIZE, MemoPool, MemoStats, PerfRegistry, get_registry
+from ..perf import DEFAULT_MAXSIZE, MemoPool, MemoStats, get_registry
 from .composer import SpecComposer
 
 
@@ -66,7 +66,6 @@ class SearchContext:
         reward: RewardConfig,
         debug: bool = False,
         memo_maxsize: Optional[int] = DEFAULT_MAXSIZE,
-        perf: Optional[PerfRegistry] = None,
     ) -> None:
         self.base = base
         self.registry = registry
@@ -78,7 +77,7 @@ class SearchContext:
         )
         self.reward_config = reward
         self.debug = debug
-        self.perf = perf if perf is not None else get_registry()
+        self.perf = get_registry()
         self._pool: MemoPool = MemoPool(maxsize=memo_maxsize, name="search.memo")
         #: Composed-spec cache shared by every search strategy over this
         #: context: prefix/cloud/full compositions are keyed on the parts'

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..model.blocks import BlockSpec, slice_into_blocks
 from ..model.spec import ModelSpec
-from ..obs.trace import get_recorder
 from ..rl.controller import NO_PARTITION
 from ..rl.exploration import FairChanceSchedule
 from .branch import (
@@ -664,11 +663,10 @@ def model_tree_search(
     best_history: List[float] = []
     root_bandwidth = float(np.mean(types))
 
-    recorder = get_recorder()
     for episode in range(config.episodes):
         context.perf.count("tree.episodes")
-        with recorder.span("tree.episode", episode=episode) as obs_span:
-            with context.perf.span("tree.forward"), recorder.span("tree.forward"):
+        with context.perf.span("tree.episode", episode=episode) as obs_span:
+            with context.perf.span("tree.forward"):
                 root = _generate_episode(
                     context,
                     blocks,
@@ -679,7 +677,7 @@ def model_tree_search(
                     bandwidth_types=types,
                     root_bandwidth=root_bandwidth,
                 )
-            with context.perf.span("tree.backward"), recorder.span("tree.backward"):
+            with context.perf.span("tree.backward"):
                 _backward_estimate(root)
                 _update_policy(policy, root)
 
@@ -703,9 +701,7 @@ def model_tree_search(
         candidate_plans = [r.plan for r in branch_results.values()] + list(
             config.extra_plans
         )
-        with context.perf.span("tree.graft"), recorder.span(
-            "tree.graft", candidates=len(candidate_plans)
-        ):
+        with context.perf.span("tree.graft", candidates=len(candidate_plans)):
             final = build_grafted_tree(
                 context, types, candidate_plans, config.num_blocks
             )

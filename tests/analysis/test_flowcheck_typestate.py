@@ -23,10 +23,10 @@ class TestSpanLeak:
         # do_work() can raise while the span is open: the __exit__ on
         # the straight-line path is not enough.
         src = """
-            from repro.obs.trace import get_recorder
+            from repro.perf import get_registry
 
             def f():
-                span = get_recorder().span("work")
+                span = get_registry().span("work")
                 do_work()
                 span.__exit__(None, None, None)
             """
@@ -34,10 +34,10 @@ class TestSpanLeak:
 
     def test_try_finally_release_is_clean(self):
         src = """
-            from repro.obs.trace import get_recorder
+            from repro.perf import get_registry
 
             def f():
-                span = get_recorder().span("work")
+                span = get_registry().span("work")
                 try:
                     do_work()
                 finally:
@@ -47,10 +47,10 @@ class TestSpanLeak:
 
     def test_with_managed_span_is_clean(self):
         src = """
-            from repro.obs.trace import get_recorder
+            from repro.perf import get_registry
 
             def f():
-                with get_recorder().span("work") as span:
+                with get_registry().span("work") as span:
                     do_work()
             """
         assert "SPAN-LEAK" not in rules(src)
@@ -77,10 +77,10 @@ class TestSpanLeak:
         # Handing the resource to another object transfers ownership;
         # flagging it here would be a false positive.
         src = """
-            from repro.obs.trace import get_recorder
+            from repro.perf import get_registry
 
             def f(sink):
-                span = get_recorder().span("work")
+                span = get_registry().span("work")
                 sink.adopt(span)
             """
         assert "SPAN-LEAK" not in rules(src)
@@ -163,10 +163,10 @@ class TestSinkClassTracking:
 
     def test_with_managed_sink_is_clean(self):
         src = """
-            from repro.obs.sink import CsvSink
+            from repro.obs.sink import JsonlSink
 
             def export(path, rows):
-                with CsvSink(path, columns=["a"]) as sink:
+                with JsonlSink(path) as sink:
                     for row in rows:
                         sink.write(row)
             """

@@ -78,3 +78,38 @@ class TestScenarioCacheTelemetry:
         }
         for stats in summary.caches.values():
             assert stats["hits"] + stats["misses"] > 0
+
+
+class TestRegistryAndTraceAgree:
+    """One span API: the registry and the trace time the same spans from
+    the same clock reads, so their per-name counts and totals match."""
+
+    @staticmethod
+    def assert_agree(registry, records):
+        spans = [r for r in records if r["kind"] == "span"]
+        stats = registry.snapshot()["spans"]
+        assert set(stats) == {r["name"] for r in spans}
+        for name, stat in stats.items():
+            durations = [r["dur_ms"] for r in spans if r["name"] == name]
+            assert stat["count"] == len(durations), name
+            # dur_ms is rounded to 4 decimals per record.
+            slack = 0.5e-4 * len(durations) + 1e-9
+            assert stat["total_ms"] == pytest.approx(sum(durations), abs=slack), name
+
+    def test_run_scenario(self, scenario):
+        config = ExperimentConfig(
+            tree_episodes=3, branch_episodes=6, emulation_requests=8
+        )
+        with recording() as recorder:
+            run_scenario(scenario, config)
+        self.assert_agree(get_registry(), recorder.records)
+
+    def test_run_chaos(self, scenario):
+        from repro.experiments.chaos import run_chaos
+
+        config = ExperimentConfig(
+            tree_episodes=3, branch_episodes=6, emulation_requests=8
+        )
+        with recording() as recorder:
+            run_chaos(config, scenario=scenario)
+        self.assert_agree(get_registry(), recorder.records)

@@ -6,17 +6,17 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.obs.__main__ import main as obs_main
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import recording
+from repro.perf import PerfRegistry
 
 
 @pytest.fixture
 def trace_path(tmp_path):
-    rec = TraceRecorder()
-    with rec.span("emulator.request", index=0) as handle:
-        rec.event("offload.retry", attempt=1)
-        handle.add(latency_ms=75.0, fork_path=[1])
     path = tmp_path / "trace.jsonl"
-    rec.dump_jsonl(path)
+    with recording(path) as rec:
+        with PerfRegistry().span("emulator.request", index=0) as handle:
+            rec.event("offload.retry", attempt=1)
+            handle.add(latency_ms=75.0, fork_path=[1])
     return path
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.obs.__main__ import ARTIFACT_ERROR_EXIT, main as obs_main
 from repro.obs.diff import DiffEntry, diff_artifacts, load_artifact
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import recording
+from repro.perf import PerfRegistry
 
 
 def bench_json(path, means, medians=None):
@@ -27,15 +28,14 @@ def bench_json(path, means, medians=None):
 
 def trace_jsonl(path, latencies, start_ms=0.0, spacing_ms=1_000.0):
     """Write a small request trace with the given simulated latencies."""
-    rec = TraceRecorder()
-    for index, latency in enumerate(latencies):
-        with rec.span(
-            "emulator.request",
-            index=index,
-            start_sim_ms=start_ms + index * spacing_ms,
-        ) as span:
-            span.add(latency_ms=float(latency), fork_path=[0])
-    rec.dump_jsonl(path)
+    with recording(path):
+        for index, latency in enumerate(latencies):
+            with PerfRegistry().span(
+                "emulator.request",
+                index=index,
+                start_sim_ms=start_ms + index * spacing_ms,
+            ) as span:
+                span.add(latency_ms=float(latency), fork_path=[0])
     return path
 
 

@@ -13,7 +13,8 @@ from repro.obs.report import (
     summarize_records,
     summarize_trace,
 )
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import recording
+from repro.perf import PerfRegistry
 
 
 def make_records():
@@ -198,12 +199,11 @@ class TestSpark:
 
 class TestRoundTrip:
     def test_recorder_output_summarizes(self, tmp_path):
-        rec = TraceRecorder()
-        with rec.span("emulator.request", index=0) as handle:
-            rec.event("offload.retry", attempt=1)
-            handle.add(latency_ms=50.0, fork_path=[0])
         path = tmp_path / "trace.jsonl"
-        rec.dump_jsonl(path)
+        with recording(path) as rec:
+            with PerfRegistry().span("emulator.request", index=0) as handle:
+                rec.event("offload.retry", attempt=1)
+                handle.add(latency_ms=50.0, fork_path=[0])
         summary = summarize_trace(path)
         assert summary.unparsed == 0
         assert summary.fork_counts == {"0": 1}
