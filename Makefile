@@ -8,7 +8,7 @@
 PY ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: install test bench bench-json bench-pool bench-episode bench-diff bench-diff-report experiments examples chaos obs-report sweep-parallel lint typecheck flowcheck clean
+.PHONY: install test bench bench-json bench-pool bench-episode bench-serve bench-diff bench-diff-report experiments examples chaos obs-report sweep-parallel lint typecheck flowcheck clean
 
 # bench-diff thresholds: relative drift that annotates (warn) vs fails the
 # job. CI machines vary wildly in absolute speed, so the fail bar is
@@ -59,17 +59,25 @@ bench-pool:
 bench-episode:
 	$(PYTHONPATH_SRC) $(PY) -m pytest benchmarks/test_bench_episode.py --benchmark-only --benchmark-json=BENCH_episode.json
 
-# Cross-run regression diff: fresh BENCH_search.json / BENCH_episode.json
-# against the checked-in baselines (benchmarks/baselines/). Drift past
-# BENCH_DIFF_WARN is annotated; past BENCH_DIFF_FAIL the target exits
-# nonzero. Diff reports land in BENCH_DIFF_*.json for CI artifacts.
+# Serving hot-path gate: requests served with cached spec latencies must
+# beat the uncached latency model >=2.5x, and the registry may cost at
+# most 10 us/request; JSON (incl. us/request per plan, registry on/off,
+# cached/uncached, in extra_info) lands in BENCH_serve.json.
+bench-serve:
+	$(PYTHONPATH_SRC) $(PY) -m pytest benchmarks/test_bench_serve.py --benchmark-only --benchmark-json=BENCH_serve.json
+
+# Cross-run regression diff: fresh BENCH_search.json / BENCH_episode.json /
+# BENCH_serve.json against the checked-in baselines (benchmarks/baselines/).
+# Drift past BENCH_DIFF_WARN is annotated; past BENCH_DIFF_FAIL the target
+# exits nonzero. Diff reports land in BENCH_DIFF_*.json for CI artifacts.
 # `bench-diff-report` only diffs (CI runs it after the bench steps have
 # already produced the fresh JSONs); `bench-diff` is the local one-shot.
-bench-diff: bench-json bench-episode bench-diff-report
+bench-diff: bench-json bench-episode bench-serve bench-diff-report
 
 bench-diff-report:
 	$(PYTHONPATH_SRC) $(PY) -m repro.obs diff benchmarks/baselines/BENCH_search.json BENCH_search.json --warn $(BENCH_DIFF_WARN) --fail $(BENCH_DIFF_FAIL) --report BENCH_DIFF_search.json
 	$(PYTHONPATH_SRC) $(PY) -m repro.obs diff benchmarks/baselines/BENCH_episode.json BENCH_episode.json --warn $(BENCH_DIFF_WARN) --fail $(BENCH_DIFF_FAIL) --report BENCH_DIFF_episode.json
+	$(PYTHONPATH_SRC) $(PY) -m repro.obs diff benchmarks/baselines/BENCH_serve.json BENCH_serve.json --warn $(BENCH_DIFF_WARN) --fail $(BENCH_DIFF_FAIL) --report BENCH_DIFF_serve.json
 
 # Record a small traced scenario run and summarize it: writes
 # TRACE_scenario.jsonl and prints the per-phase / fork / RL / resilience

@@ -26,6 +26,7 @@ from .devices import (
     JETSON_TX2,
     XIAOMI_MI_6X,
     DeviceProfile,
+    compute_model_latency_ms,
     get_device,
 )
 from .maccs import MaccEntry, layer_maccs, maccs_by_kernel, model_macc_entries, total_maccs
@@ -59,6 +60,7 @@ __all__ = [
     "JETSON_TX2",
     "XIAOMI_MI_6X",
     "DeviceProfile",
+    "compute_model_latency_ms",
     "get_device",
     "MaccEntry",
     "layer_maccs",

@@ -30,6 +30,13 @@ from .maccs import MaccEntry, model_macc_entries
 class DeviceProfile:
     """Linear-in-MACCs compute model for one platform.
 
+    A profile is immutable once built, including the kernel-coefficient
+    mapping: specs cache their latency keyed by the profile's value, so a
+    profile mutated in place would read stale latencies. Derive a variant
+    with :func:`dataclasses.replace` instead. Profiles hash by value (the
+    coefficient mapping is left out of the hash but not out of equality),
+    so equal profiles share cached latencies.
+
     Parameters
     ----------
     name:
@@ -58,7 +65,7 @@ class DeviceProfile:
     name: str
     conv_coeff_ms: float
     fc_coeff_ms: float
-    conv_kernel_coeffs_ms: Mapping[int, float] = field(default_factory=dict)
+    conv_kernel_coeffs_ms: Mapping[int, float] = field(default_factory=dict, hash=False)
     dispatch_overhead_ms: float = 0.0
     min_primitive_ms: float = 0.0
     is_gpu: bool = False
@@ -78,8 +85,28 @@ class DeviceProfile:
         return max(base, self.min_primitive_ms) + self.dispatch_overhead_ms
 
     def model_latency_ms(self, spec: ModelSpec) -> float:
-        """Total compute latency of running ``spec`` on this device."""
-        return sum(self.primitive_latency_ms(e) for e in model_macc_entries(spec))
+        """Total compute latency of running ``spec`` on this device.
+
+        Computed by :func:`compute_model_latency_ms` on the first call for
+        a (spec, profile) pair and cached on the immutable spec, so every
+        later call is one dict read and returns the identical float.
+        """
+        cache = spec._latency_ms
+        latency = cache.get(self)
+        if latency is None:
+            latency = cache[self] = compute_model_latency_ms(self, spec)
+        return latency
+
+
+def compute_model_latency_ms(profile: DeviceProfile, spec: ModelSpec) -> float:
+    """Rebuild ``spec``'s MACC table and sum its primitives on ``profile``.
+
+    This is the raw, *uncached* computation behind
+    :meth:`DeviceProfile.model_latency_ms`, exposed separately as the
+    differential-test oracle and the benchmarks' in-process baseline.
+    Library code should call the method, never this function.
+    """
+    return sum(profile.primitive_latency_ms(e) for e in model_macc_entries(spec))
 
 
 # ---------------------------------------------------------------------------

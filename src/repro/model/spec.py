@@ -264,6 +264,15 @@ class ModelSpec:
     Shape inference runs eagerly at construction so invalid specs (e.g. a
     conv after flattening) fail fast, and per-layer input/output shapes are
     available to the latency model and compression techniques.
+
+    A spec is immutable: every surgery method returns a new one. Two values
+    derived from its structure are therefore computed once and cached on
+    the instance: the :meth:`fingerprint` (reference:
+    :func:`compute_fingerprint`) and, per device profile, the compute
+    latency that :meth:`~repro.latency.devices.DeviceProfile.model_latency_ms`
+    returns (reference: :func:`~repro.latency.devices.compute_model_latency_ms`).
+    Neither cache takes part in equality, hashing, the fingerprint or
+    :meth:`to_dict`.
     """
 
     def __init__(
@@ -276,6 +285,9 @@ class ModelSpec:
         self.input_shape = input_shape
         self.name = name
         self._fingerprint: Optional[str] = None  # computed lazily, then cached
+        #: Compute latency (ms) per device profile, filled by
+        #: ``DeviceProfile.model_latency_ms`` on first use.
+        self._latency_ms: Dict[object, float] = {}
         self._shapes: List[TensorShape] = [input_shape]
         for layer in self.layers:
             self._shapes.append(infer_output_shape(layer, self._shapes[-1]))

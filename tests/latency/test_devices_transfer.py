@@ -1,5 +1,7 @@
 """Unit tests for device compute profiles and the transfer model (Eqn. 6)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,23 @@ class TestDeviceProfiles:
         entry = MaccEntry(0, "fc", 0, 1_000_000)
         expected = 1_000_000 * XIAOMI_MI_6X.fc_coeff_ms + XIAOMI_MI_6X.dispatch_overhead_ms
         assert XIAOMI_MI_6X.primitive_latency_ms(entry) == pytest.approx(expected)
+
+    def test_presets_hash_and_key_dicts(self):
+        presets = (XIAOMI_MI_6X, JETSON_TX2, CLOUD_SERVER)
+        table = {profile: profile.name for profile in presets}
+        assert len({hash(profile) for profile in presets}) == 3
+        for profile in presets:
+            copy = dataclasses.replace(profile)
+            assert copy is not profile
+            assert copy == profile and hash(copy) == hash(profile)
+            assert table[copy] == profile.name
+
+    def test_kernel_coefficients_count_for_equality_not_hash(self):
+        coeffs = {**XIAOMI_MI_6X.conv_kernel_coeffs_ms, 3: 1e-7}
+        variant = dataclasses.replace(XIAOMI_MI_6X, conv_kernel_coeffs_ms=coeffs)
+        assert variant != XIAOMI_MI_6X
+        assert hash(variant) == hash(XIAOMI_MI_6X)
+        assert len({XIAOMI_MI_6X: 0, variant: 1}) == 2
 
     def test_table1_calibration_within_20_percent(self):
         """The phone profile reproduces the paper's Table I within tolerance."""
