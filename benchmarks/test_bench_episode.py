@@ -11,6 +11,12 @@ one REINFORCE backward/step per node — asserting the batched episodes
 are at least 3x faster (locally ≥5x; the CI gate leaves headroom for
 noisy runners). The measured speedup lands in ``extra_info`` so
 ``make bench-episode`` persists it in ``BENCH_episode.json``.
+
+``test_bench_fused_backbone`` times one controller backbone call (forward
+plus backward at the shape a tree level batches: N=2 requests, T=23 VGG11
+layers, hidden 32) through the fused BiLSTM op and through the stepped
+tape LSTMs it replaced, in-process, asserting the fused op is at least 3x
+faster.
 """
 
 import time
@@ -19,8 +25,11 @@ import numpy as np
 import pytest
 
 from repro.model.blocks import slice_into_blocks
+from repro.nn.rnn import BiLSTM
+from repro.nn.tensor import Tensor, concatenate
 from repro.nn.zoo import vgg11
 from repro.rl.controller import NO_PARTITION
+from repro.rl.encoding import ENCODING_WIDTH
 from repro.rl.exploration import FairChanceSchedule
 from repro.search.plan import apply_compression_plan
 from repro.search.policies import RLPolicy
@@ -175,3 +184,54 @@ def test_bench_batched_episodes_vs_sequential(benchmark):
     benchmark.extra_info["compose_hit_rate"] = round(compose_stats.hit_rate, 4)
 
     assert speedup >= 3.0, f"batched episode path only {speedup:.2f}x faster"
+
+
+BACKBONE_SHAPE = (2, 23, ENCODING_WIDTH)  # N requests, T layers, width
+BACKBONE_HIDDEN = 32
+BACKBONE_CALLS = 20
+
+
+def _backbone_pass(bilstm, x, weights, run):
+    out = run(bilstm, x)
+    (out * weights).sum().backward()
+
+
+def _fused(bilstm, x):
+    return bilstm(x)
+
+
+def _tape(bilstm, x):
+    """The pre-fusion backbone: two stepped tape LSTMs, concatenated."""
+    return concatenate(
+        [bilstm.forward_lstm(x), bilstm.backward_lstm(x, reverse=True)], axis=2
+    )
+
+
+def test_bench_fused_backbone(benchmark):
+    rng = np.random.default_rng(SEED)
+    bilstm = BiLSTM(ENCODING_WIDTH, BACKBONE_HIDDEN, rng=rng)
+    x = Tensor(rng.normal(size=BACKBONE_SHAPE))
+    weights = Tensor(rng.normal(size=BACKBONE_SHAPE[:2] + (2 * BACKBONE_HIDDEN,)))
+
+    def calls(run):
+        for _ in range(BACKBONE_CALLS):
+            _backbone_pass(bilstm, x, weights, run)
+
+    calls(_tape)  # warm both paths
+    calls(_fused)
+    tape_s = min(_timed(calls, _tape) for _ in range(3))
+    benchmark.pedantic(calls, args=(_fused,), rounds=3, iterations=1)
+    fused_s = benchmark.stats.stats.min
+
+    speedup = tape_s / fused_s
+    benchmark.extra_info["speedup_vs_tape"] = round(speedup, 2)
+    benchmark.extra_info["tape_call_ms"] = round(tape_s / BACKBONE_CALLS * 1e3, 3)
+    benchmark.extra_info["fused_call_ms"] = round(fused_s / BACKBONE_CALLS * 1e3, 3)
+
+    assert speedup >= 3.0, f"fused backbone only {speedup:.2f}x faster than the tape"
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start

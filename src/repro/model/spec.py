@@ -20,6 +20,7 @@ network when weights are needed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -129,6 +130,12 @@ class LayerSpec:
         data["layer_type"] = self.layer_type.value
         return data
 
+    @functools.cached_property
+    def fingerprint_fragment(self) -> str:
+        """This layer's part of the fingerprint payload (sorted-key JSON of
+        :meth:`to_dict`), serialized once per instance."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerSpec":
         data = dict(data)
@@ -154,6 +161,11 @@ class TensorShape:
     @property
     def num_bytes(self) -> int:
         return self.num_values * BYTES_PER_VALUE
+
+    @functools.cached_property
+    def fingerprint_fragment(self) -> str:
+        """This shape's part of the fingerprint payload, serialized once."""
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -244,9 +256,10 @@ def compute_fingerprint(spec: "ModelSpec") -> str:
     """Serialize-and-hash a spec's structure (input shape + layers).
 
     This is the raw, *uncached* computation — O(layers) JSON serialization
-    plus a SHA-256 — exposed separately so benchmarks can compare it against
-    the cached :meth:`ModelSpec.fingerprint` path. Library code should call
-    the method, never this function.
+    plus a SHA-256 — kept as the oracle for :meth:`ModelSpec.fingerprint`,
+    which builds the byte-identical payload from per-layer cached
+    fragments, and as the in-process baseline benchmarks compare against.
+    Library code should call the method, never this function.
     """
     payload = json.dumps(
         {
@@ -357,11 +370,22 @@ class ModelSpec:
 
         Computed once and cached: a spec is immutable (every surgery method
         returns a *new* spec), and the search hot path fingerprints the same
-        objects thousands of times per episode. The name is deliberately
-        excluded, so renamed copies of the same structure share a key.
+        objects thousands of times per episode. The payload is the one
+        :func:`compute_fingerprint` serializes, assembled from each layer's
+        cached :attr:`LayerSpec.fingerprint_fragment`; slices and
+        concatenations share their layers' fragments, so a new spec only
+        pays the join and the hash. The name is deliberately excluded, so
+        renamed copies of the same structure share a key.
         """
         if self._fingerprint is None:
-            self._fingerprint = compute_fingerprint(self)
+            payload = (
+                '{"input": '
+                + self.input_shape.fingerprint_fragment
+                + ', "layers": ['
+                + ", ".join(layer.fingerprint_fragment for layer in self.layers)
+                + "]}"
+            )
+            self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return self._fingerprint
 
     # -- surgery ------------------------------------------------------------

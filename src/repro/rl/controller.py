@@ -84,11 +84,7 @@ class PartitionController(Module):
 
     def logits(self, spec: ModelSpec, bandwidth_mbps: float) -> Tensor:
         """The L+1 logits for a block spec: [cut@0 .. cut@L-1, no-partition]."""
-        encoded = Tensor(encode_model(spec, bandwidth_mbps))
-        hidden = self.backbone(encoded)[0]  # (T, width)
-        cut_scores = hidden.matmul(self.cut_head).reshape(-1) + self.bias[0]
-        keep_score = hidden[-1].reshape(1, -1).matmul(self.keep_head).reshape(-1) + self.bias[1]
-        return concatenate([cut_scores, keep_score], axis=0)
+        return self.logits_batch(spec, [bandwidth_mbps])[0]
 
     def logits_batch(
         self, spec: ModelSpec, bandwidths_mbps: Sequence[float]
@@ -217,23 +213,17 @@ class CompressionController(Module):
             return self.technique_names[int(np.argmax(mask))]
         return "ID"
 
-    def sample_batch(
-        self,
-        specs: Sequence[ModelSpec],
-        bandwidths_mbps: Sequence[float],
-        rng: np.random.Generator,
-    ) -> List[Tuple[List[str], List[Tensor], List[Tensor]]]:
-        """Sample per-layer techniques for N edge slices in batched passes.
+    def logits_batch(
+        self, specs: Sequence[ModelSpec], bandwidths_mbps: Sequence[float]
+    ) -> List[Tensor]:
+        """Per-request (T, C) technique logits, one backbone pass per length.
 
         Specs of equal length are grouped into one (N, T, W) backbone pass
-        and one fused head matmul; sampling then runs in *request order*
-        regardless of grouping, so the RNG stream matches N sequential
-        :meth:`sample` calls over the same requests. Returns one
-        ``(names, log_probs, entropies)`` triple per request.
+        and one fused head matmul; rows come back in request order.
         """
         if len(specs) != len(bandwidths_mbps):
             raise ValueError("specs and bandwidths_mbps must have equal length")
-        logits_rows: List[Optional[Tensor]] = [None] * len(specs)
+        logits_rows: Dict[int, Tensor] = {}
         groups: Dict[int, List[int]] = {}
         for i, spec in enumerate(specs):
             groups.setdefault(len(spec), []).append(i)
@@ -251,6 +241,22 @@ class CompressionController(Module):
             all_logits = hidden.matmul(self.head) + self.head_bias  # (n, T, C)
             for j, i in enumerate(indices):
                 logits_rows[i] = all_logits[j]
+        return [logits_rows[i] for i in range(len(specs))]
+
+    def sample_batch(
+        self,
+        specs: Sequence[ModelSpec],
+        bandwidths_mbps: Sequence[float],
+        rng: np.random.Generator,
+    ) -> List[Tuple[List[str], List[Tensor], List[Tensor]]]:
+        """Sample per-layer techniques for N edge slices in batched passes.
+
+        Logits come from :meth:`logits_batch`; sampling then runs in
+        *request order* regardless of grouping, so the RNG stream matches N
+        sequential :meth:`sample` calls over the same requests. Returns one
+        ``(names, log_probs, entropies)`` triple per request.
+        """
+        logits_rows = self.logits_batch(specs, bandwidths_mbps)
         results: List[Tuple[List[str], List[Tensor], List[Tensor]]] = []
         for i, spec in enumerate(specs):
             layer_logits = logits_rows[i]
@@ -291,9 +297,7 @@ class CompressionController(Module):
 
     def greedy(self, spec: ModelSpec, bandwidth_mbps: float) -> List[str]:
         """Arg-max technique per layer (used after training converges)."""
-        encoded = Tensor(encode_model(spec, bandwidth_mbps))
-        hidden = self.backbone(encoded)[0]
-        all_logits = (hidden.matmul(self.head) + self.head_bias).data  # (T, C)
+        all_logits = self.logits_batch([spec], [bandwidth_mbps])[0].data  # (T, C)
         names = []
         for i in range(len(spec)):
             mask = self._applicable_mask(spec, i)

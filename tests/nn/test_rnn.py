@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.rnn import BiLSTM, LSTM, LSTMCell
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, concatenate
+from repro.rl.encoding import ENCODING_WIDTH
 
 
 @pytest.fixture
@@ -94,3 +95,94 @@ class TestBiLSTM:
         assert bilstm.forward_lstm.cell.weight_ih.grad is not None
         assert bilstm.backward_lstm.cell.weight_ih.grad is not None
         assert x.grad is not None
+
+
+def _tape_bilstm(bilstm, x):
+    """The stepped-tape reference: two LSTMs over the same cells."""
+    return concatenate(
+        [bilstm.forward_lstm(x), bilstm.backward_lstm(x, reverse=True)], axis=2
+    )
+
+
+def _grads(bilstm, run, x_data, weights):
+    """Run ``run`` on a fresh input; return output, param grads, input grad."""
+    bilstm.zero_grad()
+    x = Tensor(x_data, requires_grad=True)
+    out = run(bilstm, x)
+    (out * Tensor(weights)).sum().backward()
+    return out.data, [p.grad for p in bilstm.parameters()], x.grad
+
+
+class TestFusedBiLSTM:
+    """The fused BiLSTM op against the stepped tape LSTMs (the oracle)."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [1, 2, 23])
+    def test_forward_is_bit_identical(self, rng, n, t):
+        bilstm = BiLSTM(ENCODING_WIDTH, 32, rng=rng)
+        x = Tensor(rng.normal(size=(n, t, ENCODING_WIDTH)))
+        assert np.array_equal(bilstm(x).data, _tape_bilstm(bilstm, x).data)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [1, 2, 23])
+    def test_gradients_match_tape(self, rng, n, t):
+        bilstm = BiLSTM(ENCODING_WIDTH, 32, rng=rng)
+        x_data = rng.normal(size=(n, t, ENCODING_WIDTH))
+        weights = rng.normal(size=(n, t, 64))
+        out, grads, x_grad = _grads(bilstm, lambda b, x: b(x), x_data, weights)
+        ref_out, ref_grads, ref_x_grad = _grads(bilstm, _tape_bilstm, x_data, weights)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads) == 6
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-10)
+
+    def test_gradients_match_finite_differences(self, rng):
+        bilstm = BiLSTM(2, 3, rng=rng)
+        x_data = rng.normal(size=(1, 3, 2))
+        weights = rng.normal(size=(1, 3, 6))
+
+        def loss() -> float:
+            return float((bilstm(Tensor(x_data)).data * weights).sum())
+
+        _, grads, x_grad = _grads(bilstm, lambda b, x: b(x), x_data, weights)
+        eps = 1e-6
+        for array, grad in [(p.data, g) for p, g in zip(bilstm.parameters(), grads)] + [
+            (x_data, x_grad)
+        ]:
+            numeric = np.zeros_like(array)
+            for index in np.ndindex(array.shape):
+                saved = array[index]
+                array[index] = saved + eps
+                plus = loss()
+                array[index] = saved - eps
+                minus = loss()
+                array[index] = saved
+                numeric[index] = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_one_call_adds_one_tape_node(self, rng):
+        bilstm = BiLSTM(4, 5, rng=rng)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = bilstm(x)
+        assert out._backward is not None
+        # Every parent is a leaf: the input or one of the six parameters.
+        assert all(parent._backward is None for parent in out._parents)
+        assert {id(p) for p in out._parents} == {id(x)} | {
+            id(p) for p in bilstm.parameters()
+        }
+
+    def test_input_without_grad_gets_none(self, rng):
+        bilstm = BiLSTM(3, 4, rng=rng)
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        bilstm(x).sum().backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in bilstm.parameters())
+
+    def test_parameters_keep_their_names(self, rng):
+        names = [name for name, _ in BiLSTM(3, 4, rng=rng).named_parameters()]
+        assert names == [
+            f"{direction}.cell.{param}"
+            for direction in ("forward_lstm", "backward_lstm")
+            for param in ("weight_ih", "weight_hh", "bias")
+        ]
