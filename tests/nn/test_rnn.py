@@ -123,6 +123,16 @@ class TestFusedBiLSTM:
         x = Tensor(rng.normal(size=(n, t, ENCODING_WIDTH)))
         assert np.array_equal(bilstm(x).data, _tape_bilstm(bilstm, x).data)
 
+    def test_forward_is_bit_identical_when_gates_saturate(self, rng):
+        # Inputs this large push gate pre-activations past the sigmoid's
+        # +-60 clip, the one branch small inputs never reach.
+        bilstm = BiLSTM(ENCODING_WIDTH, 32, rng=rng)
+        x = Tensor(rng.normal(size=(3, 5, ENCODING_WIDTH)) * 200.0)
+        out = bilstm(x)
+        assert np.array_equal(out.data, _tape_bilstm(bilstm, x).data)
+        gates = x.data @ bilstm.forward_lstm.cell.weight_ih.data.T
+        assert np.abs(gates).max() > 60.0
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("t", [1, 2, 23])
     def test_gradients_match_tape(self, rng, n, t):
